@@ -1,0 +1,48 @@
+package repro.jobs
+
+import org.apache.spark.sql.SparkSession
+
+import repro.core.{ErrorType, Runner, RunConfig, Walkthrough}
+
+/** spark-submit (or `sbt "jobs/runMain repro.jobs.Main ..."`) entry point,
+  * one command per group of paper tables:
+  *
+  *   tables06to09            s1/s2/s3 worked example on one split (Tables 6–9)
+  *   tables10to11            five random-search seeds for s1 and s2 (Tables 10–11)
+  *   tables12to14 [splits]   s1 pairs, t-tests and BY-corrected flag (Tables 12–14; 20 splits)
+  *   table15 [error|all]     Q1–Q5 blocks over R1/R2/R3 (Table 15; all error types)
+  *
+  * Table 15 scales via CLEANML_SPLITS / CLEANML_SEEDS / CLEANML_SEARCH_K /
+  * CLEANML_PARALLELISM (paper protocol: SPLITS=20, SEEDS=5).
+  */
+object Main {
+  private val Usage =
+    "usage: Main <tables06to09|tables10to11|tables12to14 [splits]|table15 [error|all]>"
+
+  def main(args: Array[String]): Unit = {
+    val arg = args.lift(1)
+    val table: SparkSession => Unit = args.headOption match {
+      case Some("tables06to09") => Walkthrough.tables6to9
+      case Some("tables10to11") => Walkthrough.tables10to11
+      case Some("tables12to14") => Walkthrough.tables12to14(_, arg.fold(20)(_.toInt))
+      case Some("table15") => spark =>
+        val errors = arg.filter(_ != "all").fold(ErrorType.all)(e => Seq(ErrorType.of(e)))
+        val cfg = RunConfig.fromEnv
+        println(s"[Table15] config: $cfg")
+        errors.foreach { e =>
+          val rel = Runner.run(spark, cfg, Set(e))
+          Runner.printTable15(rel, e)
+          rel.measurements.unpersist()
+        }
+      case _ => sys.error(Usage)
+    }
+    val spark = SparkSession.builder()
+      .master(sys.env.getOrElse("SPARK_MASTER", "local[*]"))
+      .appName(s"cleanml-${args(0)}")
+      .config("spark.sql.shuffle.partitions", sys.env.getOrElse("SPARK_SHUFFLE_PARTITIONS", "8"))
+      .config("spark.sql.autoBroadcastJoinThreshold", -1)
+      .config("spark.ui.enabled", false)
+      .getOrCreate()
+    try table(spark) finally spark.stop()
+  }
+}

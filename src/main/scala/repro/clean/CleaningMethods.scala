@@ -18,9 +18,4 @@ object CleaningMethods {
     case Inconsistencies => Seq(repro.clean.Inconsistencies)
     case Mislabels       => Seq(repro.clean.Mislabels)
   }
-
-  /** Number of (detect, repair) methods per error type — defines the
-    * hypothesis-space size (6 · 12 · 1 · 1 · 1).
-    */
-  def methodCount(e: ErrorType): Int = forError(e).size
 }

@@ -103,64 +103,39 @@ object Experiment {
       val cleaners = CleaningMethods.forError(error).filter(c =>
         cfg.methodFilter.forall(_.contains((c.method.detect, c.method.repair))))
 
-      error match {
-        case MissingValues =>
-          // Table 5 semantics: B = deletion-trained, D = imputation-trained,
-          // both evaluated on the method's imputed test set; scenario BD only.
-          val (delTrain, _) = clean.MissingValues.Deletion.clean(spec, trainRaw, testRaw)
-          val armB = buildArm(spec, delTrain, split, cached)
-          val arms = cleaners.map { c =>
-            val (trC0, teC) = c.clean(spec, trainRaw, testRaw)
-            // Cache the cleaned train: the feature pipeline makes several
-            // passes over it, and the cleaning transforms (iforest UDFs,
-            // per-cell repairs) are expensive to recompute.
-            val trC = trC0.cache(); cached += trC
-            val teCached = teC.cache(); cached += teCached; teCached.count()
-            (c.method, buildArm(spec, trC, split, cached), teCached)
-          }
-          for (m <- models; seed <- 0 until cfg.seeds) {
-            val fB = fitModel(armB, m, metric, split, seed, cfg)
-            arms.foreach { case (method, armD, teC) =>
-              val fD = fitModel(armD, m, metric, split, seed, cfg)
-              out += Measurement(dsName, error.name, method.detect, method.repair,
-                Scenario.BD.name, m.name, split, seed,
-                fB.valScore, evalOn(fB, teC, metric),
-                fD.valScore, evalOn(fD, teC, metric))
+      // Table 5 semantics: for missing values the baseline B is
+      // deletion-trained; otherwise it is trained on the raw (dirty) set.
+      val baseTrain =
+        if (error != MissingValues) trainRaw
+        else repro.clean.MissingValues.Deletion.clean(spec, trainRaw, testRaw)._1
+      val armB = buildArm(spec, baseTrain, split, cached)
+      val arms = cleaners.map { c =>
+        val (trC0, teC) = c.clean(spec, trainRaw, testRaw)
+        // Cache the cleaned train: the feature pipeline makes several
+        // passes over it, and the cleaning transforms (iforest UDFs,
+        // per-cell repairs) are expensive to recompute.
+        val trC = trC0.cache(); cached += trC
+        val teCached = teC.cache(); cached += teCached; teCached.count()
+        (c.method, buildArm(spec, trC, split, cached), teCached)
+      }
+      for (m <- models; seed <- 0 until cfg.seeds) {
+        val fB = fitModel(armB, m, metric, split, seed, cfg)
+        arms.foreach { case (method, armD, teC) =>
+          val fD = fitModel(armD, m, metric, split, seed, cfg)
+          val dOnCleanTest = evalOn(fD, teC, metric)
+          Specs.scenariosFor(error).foreach { sc =>
+            val (valB, testB) = sc match {
+              case Scenario.BD => (fB.valScore, evalOn(fB, teC, metric))
+              case Scenario.CD => (fD.valScore, evalOn(fD, testRaw, metric))
             }
+            out += Measurement(dsName, error.name, method.detect, method.repair,
+              sc.name, m.name, split, seed, valB, testB, fD.valScore, dOnCleanTest)
           }
-
-        case _ =>
-          val armDirty = buildArm(spec, trainRaw, split, cached)
-          val arms = cleaners.map { c =>
-            val (trC0, teC) = c.clean(spec, trainRaw, testRaw)
-            val trC = trC0.cache(); cached += trC
-            val teCached = teC.cache(); cached += teCached; teCached.count()
-            (c.method, buildArm(spec, trC, split, cached), teCached)
-          }
-          for (m <- models; seed <- 0 until cfg.seeds) {
-            val fDirty = fitModel(armDirty, m, metric, split, seed, cfg)
-            arms.foreach { case (method, armC, teC) =>
-              val fClean = fitModel(armC, m, metric, split, seed, cfg)
-              val cleanOnCleanTest = evalOn(fClean, teC, metric)
-              out += Measurement(dsName, error.name, method.detect, method.repair,
-                Scenario.BD.name, m.name, split, seed,
-                fDirty.valScore, evalOn(fDirty, teC, metric),
-                fClean.valScore, cleanOnCleanTest)
-              out += Measurement(dsName, error.name, method.detect, method.repair,
-                Scenario.CD.name, m.name, split, seed,
-                fClean.valScore, evalOn(fClean, testRaw, metric),
-                fClean.valScore, cleanOnCleanTest)
-            }
-          }
+        }
       }
       out.toSeq
     } finally {
       cached.foreach(_.unpersist(blocking = false))
     }
-  }
-
-  // Local aliases to keep the match arms readable.
-  private object clean {
-    val MissingValues = repro.clean.MissingValues
   }
 }

@@ -64,8 +64,8 @@ object Relations {
   }
 
   /** Group pairs by spec keys, run the three paired t-tests per spec, apply
-    * BY over all p-values of the relation, and emit the flag per paper rule:
-    * P if p0<a and p1<a; N if p0<a and p2<a; S otherwise.
+    * BY over all p-values of the relation, and emit the flag per paper rule
+    * (`Flag.of`).
     */
   def flags(pairs: DataFrame, keys: Seq[String], alpha: Double): DataFrame = {
     val spark = pairs.sparkSession
@@ -84,11 +84,8 @@ object Relations {
 
     val rows = stats.zipWithIndex.map { case ((keyVals, t), i) =>
       val (a0, a1, a2) = (adjP(3 * i), adjP(3 * i + 1), adjP(3 * i + 2))
-      val flag =
-        if (a0 < alpha && a1 < alpha) Flag.Positive
-        else if (a0 < alpha && a2 < alpha) Flag.Negative
-        else Flag.Insignificant
-      Row.fromSeq(keyVals ++ Seq(t.meanDiff, t.p0, t.p1, t.p2, a0, a1, a2, flag, t.n))
+      Row.fromSeq(keyVals ++ Seq(t.meanDiff, t.p0, t.p1, t.p2, a0, a1, a2,
+        Flag.of(a0, a1, a2, alpha), t.n))
     }
     val schema = StructType(
       keys.map(StructField(_, StringType, nullable = false)) ++

@@ -19,12 +19,16 @@ object Runner {
   final case class BenchmarkRelations(measurements: DataFrame, r1: DataFrame,
                                       r2: DataFrame, r3: DataFrame)
 
+  private val ShufflePartitions = "spark.sql.shuffle.partitions"
+
   /** Run the measurement grid for the given error types/datasets. */
   def measurements(spark: SparkSession, cfg: RunConfig,
                    errors: Set[ErrorType],
                    datasets: Seq[BenchDataset] = Datasets.all): DataFrame = {
     // Tiny per-dataset frames: low shuffle parallelism is much faster.
-    spark.conf.set("spark.sql.shuffle.partitions", "2")
+    // The caller's value is restored on the way out.
+    val callerPartitions = spark.conf.get(ShufflePartitions)
+    spark.conf.set(ShufflePartitions, "2")
     val cells = Specs.cells(errors, datasets)
     val fulls = cells.map { case (ds, e, v) =>
       val df = ds.dirty(spark, e, v).cache()
@@ -43,6 +47,7 @@ object Runner {
     } finally {
       pool.shutdown()
       fulls.foreach(_._2.unpersist(blocking = false))
+      spark.conf.set(ShufflePartitions, callerPartitions)
     }
   }
 

@@ -38,6 +38,15 @@ object Flag {
   val Insignificant = "S"
   val Negative      = "N"
   val all: Seq[String] = Seq(Positive, Insignificant, Negative)
+
+  /** The paper rule over the corrected p-values of the two-, upper- and
+    * lower-tailed tests: P if p0 and p1 are below alpha, N if p0 and p2
+    * are, S otherwise.
+    */
+  def of(p0Adj: Double, p1Adj: Double, p2Adj: Double, alpha: Double): String =
+    if (p0Adj < alpha && p1Adj < alpha) Positive
+    else if (p0Adj < alpha && p2Adj < alpha) Negative
+    else Insignificant
 }
 
 /** Mislabel injection variants (paper §3.1.5): uniform class noise and the

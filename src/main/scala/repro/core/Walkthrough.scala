@@ -128,10 +128,7 @@ object Walkthrough {
     // Paper corrects over all of R1; this walkthrough corrects over the s1
     // slice (3 p-values) for illustration.
     val adj = FDR.benjaminiYekutieli(Seq(t.p0, t.p1, t.p2))
-    val flag =
-      if (adj(0) < 0.05 && adj(1) < 0.05) Flag.Positive
-      else if (adj(0) < 0.05 && adj(2) < 0.05) Flag.Negative
-      else Flag.Insignificant
+    val flag = Flag.of(adj(0), adj(1), adj(2), alpha = 0.05)
     println("\n===== Table 14: BY-corrected p-values (paper flag: P) =====")
     println(f"  corrected p0: ${adj(0)}%.3e  p1: ${adj(1)}%.3e  p2: ${adj(2)}%.3e  flag: $flag")
     (pairs, TTestResultView(t.p0, t.p1, t.p2, adj(0), adj(1), adj(2), flag))

@@ -41,14 +41,34 @@ class ExperimentSpec extends SparkSpec {
     assert(avgDiff > 0.01, s"avg CD diff = $avgDiff")
   }
 
+  private lazy val titanic = Datasets.byName("Titanic")
+  private lazy val titanicMV = titanic.dirty(spark, MissingValues)
+  private lazy val titanicMVRows =
+    Experiment.runCell(titanic, MissingValues, "", titanicMV, 0, fastCfg)
+
   test("missing-values cell: BD-only, one row per imputation method") {
-    val ds = Datasets.byName("Titanic")
-    val full = ds.dirty(spark, MissingValues)
-    val rows = Experiment.runCell(ds, MissingValues, "", full, 0, fastCfg)
+    val rows = titanicMVRows
     // 6 imputers × 1 scenario × 2 models = 12 rows
     assert(rows.size == 12)
     assert(rows.forall(_.scenario == "BD"))
     assert(rows.map(_.repair).toSet.size == 6)
+  }
+
+  test("missing-values cell: the B side is the deletion-trained model") {
+    val rows = titanicMVRows
+    assert(rows.forall(_.scenario == "BD"))
+    val (train, test) = Splits.trainTest(titanicMV, 0)
+    val (delTrain, _) = repro.clean.MissingValues.Deletion.clean(titanic.spec, train, test)
+    val cached = scala.collection.mutable.ArrayBuffer.empty[org.apache.spark.sql.DataFrame]
+    val arm = Experiment.buildArm(titanic.spec, delTrain, 0, cached)
+    for (m <- fastCfg.models; seed <- 0 until fastCfg.seeds) {
+      val valB = Experiment.fitModel(arm, repro.ml.Models.byName(m), titanic.spec.metric,
+        0, seed, fastCfg).valScore
+      val sameSpec = rows.filter(r => r.model == m && r.seed == seed)
+      assert(sameSpec.size == 6)
+      sameSpec.foreach(r => assert(r.val_b == valB, s"$m/$seed ${r.repair}"))
+    }
+    cached.foreach(_.unpersist())
   }
 
   test("outlier cell: 12 methods × 2 scenarios per model") {

@@ -121,6 +121,14 @@ class RelationsSpec extends SparkSpec {
     if (rawSignificant) assert(corrected > weakRow.getAs[Double]("p0"))
   }
 
+  test("Flag.of: P/N need both adjusted p-values strictly below alpha") {
+    assert(Flag.of(0.05, 0.01, 0.01, alpha = 0.05) == Flag.Insignificant)
+    assert(Flag.of(0.01, 0.05, 1.0, alpha = 0.05) == Flag.Insignificant)
+    assert(Flag.of(0.01, 0.04, 1.0, alpha = 0.05) == Flag.Positive)
+    assert(Flag.of(0.01, 1.0, 0.04, alpha = 0.05) == Flag.Negative)
+    assert(Flag.of(1.0, 1.0, 1.0, alpha = 0.05) == Flag.Insignificant)
+  }
+
   test("flag columns carry the t-test and correction evidence") {
     val meas = (0 until 8).map(s => m(split = s, testB = 0.6, testD = 0.7 + 0.001 * s)).toDF()
     val cols = Relations.r1(meas).columns.toSet

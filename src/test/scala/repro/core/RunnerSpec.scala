@@ -45,6 +45,17 @@ class RunnerSpec extends SparkSpec {
     assert(bad == 0)
   }
 
+  test("measurements restores the caller's shuffle-partition setting") {
+    val key = "spark.sql.shuffle.partitions"
+    val before = spark.conf.get(key)
+    spark.conf.set(key, "7")
+    try {
+      Runner.measurements(spark, cfg.copy(splits = 1, models = Seq("naive_bayes")),
+        Set(Inconsistencies), Seq(Datasets.byName("University")))
+      assert(spark.conf.get(key) == "7")
+    } finally spark.conf.set(key, before)
+  }
+
   test("printTable15 renders without error") {
     Runner.printTable15(rel, Inconsistencies)
   }
