@@ -4,6 +4,7 @@ import scala.collection.mutable.ArrayBuffer
 import scala.util.{Random, Try}
 
 import org.apache.spark.ml.PipelineModel
+import org.apache.spark.ml.linalg.Vector
 import org.apache.spark.sql.DataFrame
 import org.apache.spark.sql.functions._
 
@@ -18,32 +19,46 @@ import repro.ml.{Evaluate, Features, ModelAdapter, Models}
   */
 object Experiment {
 
-  /** A fitted model: its validation score and a predictor over raw rows. */
-  final case class Fitted(valScore: Double, predict: DataFrame => DataFrame)
+  /** A fitted model: its validation score, the arm it was fit on, and its
+    * local predictor over that arm's feature vectors.
+    */
+  final case class Fitted(valScore: Double, arm: Arm, predict: Vector => Double)
 
   /** A featurized training arm: the preprocessing pipeline fit on this
-    * arm's training set, the downsampled sub-train and the validation fold
-    * (cached), and the arm's class histogram for degenerate-case guards.
+    * arm's training set, the downsampled sub-train (cached, for the fits),
+    * the collected validation rows, and the arm's class histogram for
+    * degenerate-case guards. An arm belongs to the one cell thread that
+    * built it.
     */
-  final case class Arm(spec: DataSpec, pipeline: PipelineModel,
-                       sub: DataFrame, valFold: DataFrame,
-                       classCounts: Map[Double, Long])
+  final case class Arm(spec: DataSpec, pipeline: PipelineModel, sub: DataFrame,
+                       valRows: Seq[(Vector, Double)], classCounts: Map[Double, Long]) {
+    private val collected = new java.util.IdentityHashMap[DataFrame, Seq[(Vector, Double)]]
 
-  /** Build (and cache) a training arm from raw training rows. */
+    /** The (features, label) rows of a raw frame featurized by this arm's
+      * pipeline, collected on the first call for that frame instance.
+      */
+    def rows(raw: DataFrame): Seq[(Vector, Double)] =
+      collected.computeIfAbsent(raw, df => Features.rows(pipeline.transform(df)))
+  }
+
+  /** Build a training arm from raw training rows; the cached sub-train is
+    * added to `cached`.
+    */
   def buildArm(spec: DataSpec, trainRaw: DataFrame, split: Int,
                cached: ArrayBuffer[DataFrame]): Arm = {
     val pipeline = Features.fit(spec, trainRaw)
     val featurized = pipeline.transform(trainRaw)
       .select(col("rid"), col(Features.FeaturesCol), col("label"))
-    val (sub0, valFold0) = Splits.subVal(featurized, salt = split * 131 + 17)
+    val (sub0, valFold) = Splits.subVal(featurized, salt = split * 131 + 17)
     val sub = Features.downsample(spec, sub0, seed = split.toLong).cache()
-    val valFold = valFold0.cache()
-    cached += sub; cached += valFold
+    cached += sub
     val classCounts = sub.groupBy("label").count().collect()
       .map(r => r.getDouble(0) -> r.getLong(1)).toMap
-    valFold.count()
-    Arm(spec, pipeline, sub, valFold, classCounts)
+    Arm(spec, pipeline, sub, Features.rows(valFold), classCounts)
   }
+
+  private def score(predict: Vector => Double, rows: Seq[(Vector, Double)], metric: String): Double =
+    Evaluate.score(rows.map { case (v, l) => (l, predict(v)) }, metric)
 
   /** Fit one model on an arm with random hyperparameter search (searchK
     * configs; the config with the best validation score wins). Falls back
@@ -55,8 +70,8 @@ object Experiment {
       if (arm.classCounts.isEmpty) 0.0
       else arm.classCounts.maxBy { case (l, n) => (n, -l) }._1
     def constant: Fitted = {
-      val fn = (df: DataFrame) => df.withColumn("prediction", lit(majority))
-      Fitted(Evaluate.score(fn(arm.valFold), metric), raw => fn(arm.pipeline.transform(raw)))
+      val predict: Vector => Double = _ => majority
+      Fitted(score(predict, arm.valRows, metric), arm, predict)
     }
     if (arm.classCounts.size < 2 || arm.classCounts.values.sum < 8) return constant
 
@@ -68,9 +83,8 @@ object Experiment {
 
     val fitted = configs.flatMap { params =>
       Try {
-        val fn = adapter.fit(arm.sub, params, modelSeed)
-        val v  = Evaluate.score(fn(arm.valFold), metric)
-        Fitted(v, raw => fn(arm.pipeline.transform(raw)))
+        val predict = adapter.fit(arm.sub, params, modelSeed)
+        Fitted(score(predict, arm.valRows, metric), arm, predict)
       }.toOption
     }
     if (fitted.isEmpty) constant
@@ -84,7 +98,7 @@ object Experiment {
 
   /** Test-set score of a fitted model on raw test rows. */
   def evalOn(f: Fitted, testRaw: DataFrame, metric: String): Double =
-    Evaluate.score(f.predict(testRaw), metric)
+    score(f.predict, f.arm.rows(testRaw), metric)
 
   /** Run one cell: all methods × scenarios × models × seeds at one split. */
   def runCell(ds: BenchDataset, error: ErrorType, variant: String,
@@ -115,7 +129,7 @@ object Experiment {
         // passes over it, and the cleaning transforms (iforest UDFs,
         // per-cell repairs) are expensive to recompute.
         val trC = trC0.cache(); cached += trC
-        val teCached = teC.cache(); cached += teCached; teCached.count()
+        val teCached = teC.cache(); cached += teCached
         (c.method, buildArm(spec, trC, split, cached), teCached)
       }
       for (m <- models; seed <- 0 until cfg.seeds) {

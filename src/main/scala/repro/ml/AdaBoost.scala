@@ -3,40 +3,39 @@ package repro.ml
 import scala.collection.mutable.ArrayBuffer
 
 import org.apache.spark.ml.classification.{DecisionTreeClassificationModel, DecisionTreeClassifier}
+import org.apache.spark.ml.linalg.Vector
 import org.apache.spark.sql.DataFrame
-import org.apache.spark.sql.functions._
 
 /** From-scratch binary AdaBoost (discrete SAMME; paper §3.3 — MLlib has no
-  * AdaBoost). Base learners are weighted MLlib decision trees; the sample
-  * weights live in a DataFrame column and are re-normalized each round, so
-  * boosting itself is expressed as DataFrame transforms.
+  * AdaBoost). Base learners are weighted MLlib decision trees. The training
+  * rows are collected once and the sample weights live in a driver array:
+  * the weighted error and the reweighting are computed locally from each
+  * tree's `predict`, and only the weighted tree fits run as Spark jobs.
   */
 object AdaBoost {
 
-  /** Fit on a featurized training set (must carry `rid`, `features`,
-    * `label`); returns a transform adding `prediction`.
+  /** Fit on a featurized training set (`features`, `label`); returns a
+    * local predictor that takes the sign of the alpha-weighted tree votes.
     */
-  def fit(train: DataFrame, rounds: Int, baseDepth: Int, seed: Long): DataFrame => DataFrame = {
-    val n = train.count().toDouble
+  def fit(train: DataFrame, rounds: Int, baseDepth: Int, seed: Long): Vector => Double = {
+    val rows = Features.rows(train)
+    val n = rows.length
     require(n > 0, "AdaBoost: empty training set")
-    var cur = train.select(col("rid"), col(Features.FeaturesCol), col("label"))
-      .withColumn("__w", lit(1.0 / n))
-      .cache()
-    cur.count()
+    val spark = train.sparkSession
+    val w = Array.fill(n)(1.0 / n)
     val trees = ArrayBuffer.empty[(DecisionTreeClassificationModel, Double)]
 
     var t = 0
     var stop = false
     while (t < rounds && !stop) {
-      val dt = new DecisionTreeClassifier()
+      val weighted = spark.createDataFrame(rows.zip(w).map { case ((v, l), wi) => (v, l, wi) })
+        .toDF(Features.FeaturesCol, "label", "__w")
+      val model = new DecisionTreeClassifier()
         .setFeaturesCol(Features.FeaturesCol).setLabelCol("label")
         .setWeightCol("__w").setMaxDepth(baseDepth).setSeed(seed + t)
-      val model  = dt.fit(cur)
-      val scored = model.transform(cur)
-      val row = scored.agg(
-        sum(when(col("prediction") =!= col("label"), col("__w")).otherwise(0.0)),
-        sum(col("__w"))).head()
-      val err = row.getDouble(0) / row.getDouble(1)
+        .fit(weighted)
+      val miss = rows.map { case (v, l) => model.predict(v) != l }
+      val err = w.indices.collect { case i if miss(i) => w(i) }.sum / w.sum
       if (err <= 1e-10) {
         // Perfect base learner: take it with a large vote and stop.
         trees += ((model, 5.0)); stop = true
@@ -48,30 +47,18 @@ object AdaBoost {
       } else {
         val alpha = 0.5 * math.log((1.0 - err) / err)
         trees += ((model, alpha))
-        val unnorm = scored
-          .withColumn("__w",
-            col("__w") * exp(lit(alpha) * when(col("prediction") =!= col("label"), 2.0).otherwise(-2.0) * lit(0.5)))
-          .select(col("rid"), col(Features.FeaturesCol), col("label"), col("__w"))
-        val total = unnorm.agg(sum(col("__w"))).head().getDouble(0)
-        val next = unnorm.withColumn("__w", col("__w") / lit(total)).cache()
-        next.count()
-        cur.unpersist(blocking = false)
-        cur = next
+        // StrictMath.exp, as Spark SQL's exp evaluates it.
+        w.indices.foreach(i => w(i) *= StrictMath.exp(if (miss(i)) alpha else -alpha))
+        val total = w.sum
+        w.indices.foreach(i => w(i) /= total)
       }
       t += 1
     }
-    cur.unpersist(blocking = false)
     val fitted = trees.toSeq
 
-    df => {
-      var acc = df.withColumn("__score", lit(0.0))
-      fitted.foreach { case (m, a) =>
-        acc = m.transform(acc)
-          .withColumn("__score", col("__score") + lit(a) * (col("prediction") * 2.0 - 1.0))
-          .drop("prediction", "rawPrediction", "probability")
-      }
-      acc.withColumn("prediction", when(col("__score") > 0, 1.0).otherwise(0.0))
-        .drop("__score")
+    v => {
+      val score = fitted.foldLeft(0.0) { case (s, (m, a)) => s + a * (m.predict(v) * 2.0 - 1.0) }
+      if (score > 0) 1.0 else 0.0
     }
   }
 }

@@ -1,40 +1,29 @@
 package repro.ml
 
-import org.apache.spark.sql.DataFrame
-import org.apache.spark.sql.functions._
-
 /** Evaluation metrics (paper §4.1 step 4): accuracy for balanced datasets,
-  * F1 of the minority (positive) class for class-imbalanced ones.
+  * F1 of the minority (positive) class for class-imbalanced ones. A score is
+  * a count over at most a few hundred (label, prediction) pairs, so it is a
+  * local fold, not a Spark job.
   */
 object Evaluate {
 
-  /** Compute `metric` ("acc" | "f1") from a predictions DataFrame carrying
-    * `label` and `prediction` columns.
-    */
-  def score(pred: DataFrame, metric: String): Double = metric match {
-    case "acc" => accuracy(pred)
-    case "f1"  => f1(pred)
+  /** Compute `metric` ("acc" | "f1") over (label, prediction) pairs. */
+  def score(pairs: Seq[(Double, Double)], metric: String): Double = metric match {
+    case "acc" => accuracy(pairs)
+    case "f1"  => f1(pairs)
     case other => sys.error(s"unknown metric: $other")
   }
 
-  def accuracy(pred: DataFrame): Double = {
-    // sum() over an empty frame is NULL — coalesce keeps the metric total.
-    val row = pred.agg(
-      coalesce(sum(when(col("prediction") === col("label"), 1L).otherwise(0L)), lit(0L)),
-      count(lit(1))).head()
-    val n = row.getLong(1)
-    if (n == 0) 0.0 else row.getLong(0).toDouble / n
-  }
+  /** Share of pairs whose prediction equals the label; 0 when empty. */
+  def accuracy(pairs: Seq[(Double, Double)]): Double =
+    if (pairs.isEmpty) 0.0
+    else pairs.count { case (l, p) => p == l }.toDouble / pairs.size
 
   /** F1 of class 1.0 (the minority class in our imbalanced analogs). */
-  def f1(pred: DataFrame): Double = {
-    val row = pred.agg(
-      coalesce(sum(when(col("prediction") === 1.0 && col("label") === 1.0, 1L).otherwise(0L)), lit(0L)),
-      coalesce(sum(when(col("prediction") === 1.0 && col("label") === 0.0, 1L).otherwise(0L)), lit(0L)),
-      coalesce(sum(when(col("prediction") === 0.0 && col("label") === 1.0, 1L).otherwise(0L)), lit(0L))).head()
-    val tp = row.getLong(0).toDouble
-    val fp = row.getLong(1).toDouble
-    val fn = row.getLong(2).toDouble
+  def f1(pairs: Seq[(Double, Double)]): Double = {
+    val tp = pairs.count(_ == ((1.0, 1.0))).toDouble
+    val fp = pairs.count(_ == ((0.0, 1.0)))
+    val fn = pairs.count(_ == ((1.0, 0.0)))
     if (tp == 0.0) 0.0
     else {
       val p = tp / (tp + fp)

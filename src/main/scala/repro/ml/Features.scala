@@ -2,6 +2,7 @@ package repro.ml
 
 import org.apache.spark.ml.{Pipeline, PipelineModel, PipelineStage}
 import org.apache.spark.ml.feature._
+import org.apache.spark.ml.linalg.Vector
 import org.apache.spark.sql.DataFrame
 import org.apache.spark.sql.functions._
 
@@ -58,6 +59,13 @@ object Features {
   /** Fit the pipeline on `train` (anti-leakage: arm-local statistics). */
   def fit(spec: DataSpec, train: DataFrame): PipelineModel =
     pipeline(spec).fit(train)
+
+  /** The (features, label) pairs of a featurized frame, collected to the
+    * driver, where the models fit and score.
+    */
+  def rows(featurized: DataFrame): Seq[(Vector, Double)] =
+    featurized.select(col(FeaturesCol), col("label")).collect().toSeq
+      .map(r => (r.getAs[Vector](0), r.getDouble(1)))
 
   /** Downsample the majority class in a training set so classes balance
     * (paper §3.3 item 4); identity for balanced datasets.

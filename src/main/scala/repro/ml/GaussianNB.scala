@@ -2,20 +2,19 @@ package repro.ml
 
 import org.apache.spark.ml.linalg.Vector
 import org.apache.spark.sql.DataFrame
-import org.apache.spark.sql.functions._
 
 /** From-scratch Gaussian naive Bayes (paper §3.3). Implemented directly
   * (rather than via MLlib's multinomial NB) because standardized features
   * are negative and one-hot columns can be constant within a class —
   * handled here with scikit-learn-style variance smoothing
-  * (eps = 1e-9 · max variance).
+  * (eps = 1e-9 · max variance). Fitting collects the training set and
+  * computes per-class priors, means and variances on the driver; the
+  * returned predictor closes over them.
   */
 object GaussianNB {
 
-  def fit(train: DataFrame): DataFrame => DataFrame = {
-    val data = train.select(col(Features.FeaturesCol), col("label"))
-      .collect()
-      .map(r => (r.getAs[Vector](0).toArray, r.getDouble(1)))
+  def fit(train: DataFrame): Vector => Double = {
+    val data = Features.rows(train).map { case (v, l) => (v.toArray, l) }
     require(data.nonEmpty, "GaussianNB: empty training set")
     val dim = data.head._1.length
     val byClass = data.groupBy(_._2)
@@ -40,12 +39,10 @@ object GaussianNB {
 
     val maxVar = params.values.flatMap(_._3).foldLeft(0.0)(math.max)
     val eps = math.max(1e-9 * maxVar, 1e-12)
-    val spark = train.sparkSession
-    val bc = spark.sparkContext.broadcast(params)
 
-    val predictUdf = udf { (v: Vector) =>
+    v => {
       val x = v.toArray
-      bc.value.toSeq
+      params.toSeq
         .map { case (cls, (logPrior, mu, vr)) =>
           var ll = logPrior
           var i = 0
@@ -60,6 +57,5 @@ object GaussianNB {
         }
         .maxBy { case (ll, cls) => (ll, -cls) }._2
     }
-    df => df.withColumn("prediction", predictUdf(col(Features.FeaturesCol)))
   }
 }

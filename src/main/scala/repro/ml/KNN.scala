@@ -2,32 +2,25 @@ package repro.ml
 
 import org.apache.spark.ml.linalg.Vector
 import org.apache.spark.sql.DataFrame
-import org.apache.spark.sql.functions._
 
 /** From-scratch k-nearest-neighbors classifier (paper §3.3; MLlib has no
-  * KNN). "Training" collects and broadcasts the (features, label) pairs;
-  * prediction is an exact Euclidean majority vote evaluated as a DataFrame
-  * transform. Suited to the benchmark's small per-dataset scale.
+  * KNN). "Training" collects the (features, label) pairs to the driver;
+  * prediction is an exact Euclidean majority vote over that array. Suited to
+  * the benchmark's small per-dataset scale.
   */
 object KNN {
 
-  /** Fit on a featurized training set; returns a transform that adds a
-    * `prediction` column. Ties break toward the smaller label for
-    * determinism.
+  /** Fit on a featurized training set; returns a local predictor. Ties
+    * break toward the smaller label for determinism.
     */
-  def fit(train: DataFrame, k: Int): DataFrame => DataFrame = {
-    val data: Array[(Array[Double], Double)] = train
-      .select(col(Features.FeaturesCol), col("label"))
-      .collect()
-      .map(r => (r.getAs[Vector](0).toArray, r.getDouble(1)))
+  def fit(train: DataFrame, k: Int): Vector => Double = {
+    val data = Features.rows(train).map { case (v, l) => (v.toArray, l) }
     require(data.nonEmpty, "KNN: empty training set")
-    val spark = train.sparkSession
-    val bc = spark.sparkContext.broadcast(data)
     val kEff = math.min(k, data.length)
 
-    val predictUdf = udf { (v: Vector) =>
+    v => {
       val x = v.toArray
-      val neighbors = bc.value
+      val neighbors = data
         .map { case (t, l) =>
           var s = 0.0
           var i = 0
@@ -40,6 +33,5 @@ object KNN {
       val votes = neighbors.groupBy(_._2).view.mapValues(_.size).toMap
       votes.toSeq.maxBy { case (l, n) => (n, -l) }._1
     }
-    df => df.withColumn("prediction", predictUdf(col(Features.FeaturesCol)))
   }
 }

@@ -17,23 +17,22 @@ object TTest {
 
   /** Run all three paired t-tests on (before, after) metric pairs.
     *
-    * Degenerate inputs are resolved conservatively: with fewer than two
-    * pairs or zero variance in the differences, p-values are 1 when the
-    * mean difference is 0 (certainly insignificant) and ~0 in the direction
-    * of a nonzero constant difference (certainly significant).
+    * Degenerate inputs:
+    *   - fewer than two pairs: no test exists, so p0 = p1 = p2 = 1 (never
+    *     significant) and t = 0;
+    *   - two or more pairs with zero variance in the differences: p-values
+    *     are 1 when the constant difference is 0, and 0 in its direction
+    *     otherwise (p0 = 0 and p1 = 0 for a positive difference, p0 = 0 and
+    *     p2 = 0 for a negative one), with t = ±infinity.
     */
   def paired(pairs: Seq[(Double, Double)]): TTestResult = {
     require(pairs.nonEmpty, "paired t-test needs at least one pair")
     val d    = pairs.map { case (b, a) => a - b }
     val n    = d.size
     val mean = d.sum / n
-    if (n < 2) {
-      return degenerate(n, mean)
-    }
+    if (n < 2) return TTestResult(n, mean, 0.0, 1.0, 1.0, 1.0)
     val varD = d.map(x => (x - mean) * (x - mean)).sum / (n - 1)
-    if (varD <= 0.0) {
-      return degenerate(n, mean)
-    }
+    if (varD <= 0.0) return degenerate(n, mean)
     val se = math.sqrt(varD / n)
     val t  = mean / se
     val df = (n - 1).toDouble

@@ -112,8 +112,21 @@ class ExperimentSpec extends SparkSpec {
     val cached = scala.collection.mutable.ArrayBuffer.empty[org.apache.spark.sql.DataFrame]
     val arm = Experiment.buildArm(ds.spec, train, 0, cached)
     val fitted = Experiment.fitModel(arm, repro.ml.Models.byName("xgboost"), "acc", 0, 0, fastCfg)
-    val preds = fitted.predict(full.limit(20)).select("prediction").distinct().collect()
-    assert(preds.length == 1 && preds(0).getDouble(0) == 1.0)
+    val preds = fitted.arm.rows(full.limit(20)).map { case (v, _) => fitted.predict(v) }.distinct
+    assert(preds == Seq(1.0))
+    cached.foreach(_.unpersist())
+  }
+
+  test("an arm collects each test frame once") {
+    val ds = Datasets.byName("EEG")
+    val (train, test) = Splits.trainTest(ds.clean(spark), 0)
+    val cached = scala.collection.mutable.ArrayBuffer.empty[org.apache.spark.sql.DataFrame]
+    val arm = Experiment.buildArm(ds.spec, train, 0, cached)
+    val rows = arm.rows(test)
+    assert(arm.rows(test) eq rows)
+    // A frame is keyed by identity: another instance is collected anew.
+    val again = arm.rows(test.select("*"))
+    assert(!(again eq rows) && again == rows)
     cached.foreach(_.unpersist())
   }
 

@@ -9,7 +9,7 @@ class GaussianNBSpec extends SparkSpec {
   test("separable gaussians are classified nearly perfectly") {
     val train = MLTestData.blobs(spark, n = 150, seed = 20)
     val test  = MLTestData.blobs(spark, n = 60, seed = 21)
-    val acc = Evaluate.accuracy(GaussianNB.fit(train)(test))
+    val acc = Evaluate.accuracy(MLTestData.scored(GaussianNB.fit(train), test))
     assert(acc > 0.95, s"acc=$acc")
   }
 
@@ -22,8 +22,7 @@ class GaussianNBSpec extends SparkSpec {
       (4L, Vectors.dense(2.5, 3.5), 1.0),
       (5L, Vectors.dense(3.5, 2.5), 1.0)))
       .toDF("rid", Features.FeaturesCol, "label")
-    val out = GaussianNB.fit(train)(train).collect()
-    out.foreach(r => assert(r.getAs[Double]("prediction") == r.getAs[Double]("label")))
+    MLTestData.scored(GaussianNB.fit(train), train).foreach { case (l, p) => assert(p == l) }
   }
 
   test("zero-variance (one-hot constant-in-class) features do not produce NaN") {
@@ -34,11 +33,9 @@ class GaussianNBSpec extends SparkSpec {
       (2L, Vectors.dense(1.0, 0.0), 1.0),
       (3L, Vectors.dense(1.2, 0.0), 1.0)))
       .toDF("rid", Features.FeaturesCol, "label")
-    val preds = GaussianNB.fit(train)(train).collect()
-    preds.foreach { r =>
-      val p = r.getAs[Double]("prediction")
+    MLTestData.scored(GaussianNB.fit(train), train).foreach { case (l, p) =>
       assert(p == 0.0 || p == 1.0)
-      assert(r.getAs[Double]("prediction") == r.getAs[Double]("label"))
+      assert(p == l)
     }
   }
 
@@ -46,15 +43,13 @@ class GaussianNBSpec extends SparkSpec {
     val rows = (0 until 90).map(i => (i.toLong, Vectors.dense(0.0 + 0.01 * (i % 7)), 1.0)) ++
       (90 until 100).map(i => (i.toLong, Vectors.dense(0.05 + 0.01 * (i % 7)), 0.0))
     val train = spark.createDataFrame(rows).toDF("rid", Features.FeaturesCol, "label")
-    val test = spark.createDataFrame(Seq((200L, Vectors.dense(0.03), -1.0)))
-      .toDF("rid", Features.FeaturesCol, "label")
-    assert(GaussianNB.fit(train)(test).head().getAs[Double]("prediction") == 1.0)
+    assert(GaussianNB.fit(train)(Vectors.dense(0.03)) == 1.0)
   }
 
   test("deterministic predictions") {
     val train = MLTestData.blobs(spark, n = 100, seed = 22)
-    val p1 = GaussianNB.fit(train)(train).orderBy("rid").collect().map(_.getAs[Double]("prediction"))
-    val p2 = GaussianNB.fit(train)(train).orderBy("rid").collect().map(_.getAs[Double]("prediction"))
-    assert(p1.sameElements(p2))
+    val p1 = MLTestData.scored(GaussianNB.fit(train), train)
+    val p2 = MLTestData.scored(GaussianNB.fit(train), train)
+    assert(p1 == p2)
   }
 }

@@ -12,13 +12,8 @@ class KNNSpec extends SparkSpec {
       (1L, Vectors.dense(10.0, 10.0), 1.0)))
       .toDF("rid", Features.FeaturesCol, "label")
     val predict = KNN.fit(train, k = 1)
-    val test = spark.createDataFrame(Seq(
-      (2L, Vectors.dense(1.0, 1.0), -1.0),
-      (3L, Vectors.dense(9.0, 9.0), -1.0)))
-      .toDF("rid", Features.FeaturesCol, "label")
-    val out = predict(test).orderBy("rid").collect()
-    assert(out(0).getAs[Double]("prediction") == 0.0)
-    assert(out(1).getAs[Double]("prediction") == 1.0)
+    assert(predict(Vectors.dense(1.0, 1.0)) == 0.0)
+    assert(predict(Vectors.dense(9.0, 9.0)) == 1.0)
   }
 
   test("k=3 majority vote overrides a single close neighbor") {
@@ -29,15 +24,13 @@ class KNNSpec extends SparkSpec {
       (3L, Vectors.dense(5.0), 1.0)))
       .toDF("rid", Features.FeaturesCol, "label")
     val predict = KNN.fit(train, k = 3)
-    val test = spark.createDataFrame(Seq((9L, Vectors.dense(0.01), -1.0)))
-      .toDF("rid", Features.FeaturesCol, "label")
-    assert(predict(test).head().getAs[Double]("prediction") == 0.0)
+    assert(predict(Vectors.dense(0.01)) == 0.0)
   }
 
   test("separable blobs are classified nearly perfectly") {
     val train = MLTestData.blobs(spark, n = 150, seed = 3)
     val test  = MLTestData.blobs(spark, n = 60, seed = 4)
-    val acc = Evaluate.accuracy(KNN.fit(train, 5)(test))
+    val acc = Evaluate.accuracy(MLTestData.scored(KNN.fit(train, 5), test))
     assert(acc > 0.95, s"acc=$acc")
   }
 
@@ -48,9 +41,7 @@ class KNNSpec extends SparkSpec {
       (2L, Vectors.dense(2.0), 0.0)))
       .toDF("rid", Features.FeaturesCol, "label")
     val predict = KNN.fit(train, k = 50)
-    val test = spark.createDataFrame(Seq((9L, Vectors.dense(100.0), -1.0)))
-      .toDF("rid", Features.FeaturesCol, "label")
-    assert(predict(test).head().getAs[Double]("prediction") == 1.0)
+    assert(predict(Vectors.dense(100.0)) == 1.0)
   }
 
   test("vote ties break toward the smaller label") {
@@ -59,8 +50,6 @@ class KNNSpec extends SparkSpec {
       (1L, Vectors.dense(1.0), 1.0)))
       .toDF("rid", Features.FeaturesCol, "label")
     val predict = KNN.fit(train, k = 2)
-    val test = spark.createDataFrame(Seq((9L, Vectors.dense(0.0), -1.0)))
-      .toDF("rid", Features.FeaturesCol, "label")
-    assert(predict(test).head().getAs[Double]("prediction") == 0.0)
+    assert(predict(Vectors.dense(0.0)) == 0.0)
   }
 }

@@ -1,6 +1,6 @@
 package repro.ml
 
-import org.apache.spark.ml.linalg.Vectors
+import org.apache.spark.ml.linalg.{Vector, Vectors}
 import org.apache.spark.sql.{DataFrame, SparkSession}
 
 /** Shared toy featurized datasets for the model tests. */
@@ -33,4 +33,8 @@ object MLTestData {
     }
     spark.createDataFrame(rows).toDF("rid", Features.FeaturesCol, "label")
   }
+
+  /** (label, prediction) pairs of a local predictor over a featurized frame. */
+  def scored(predict: Vector => Double, df: DataFrame): Seq[(Double, Double)] =
+    Features.rows(df).map { case (v, l) => (l, predict(v)) }
 }

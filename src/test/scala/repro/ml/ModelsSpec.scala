@@ -2,6 +2,10 @@ package repro.ml
 
 import scala.util.Random
 
+import org.apache.spark.ml.classification.{DecisionTreeClassifier, GBTClassifier, LogisticRegression, RandomForestClassifier}
+import org.apache.spark.ml.Transformer
+import org.apache.spark.ml.linalg.Vector
+
 import repro.SparkSpec
 import repro.core.RunConfig
 
@@ -22,7 +26,7 @@ class ModelsSpec extends SparkSpec {
     val test  = MLTestData.blobs(spark, n = 80, seed = 31)
     Models.all.foreach { m =>
       val predict = m.fit(train, m.defaults, seed = 7)
-      val acc = Evaluate.accuracy(predict(test))
+      val acc = Evaluate.accuracy(MLTestData.scored(predict, test))
       assert(acc > 0.85, s"${m.name}: acc=$acc")
     }
   }
@@ -30,8 +34,7 @@ class ModelsSpec extends SparkSpec {
   test("every model emits binary predictions") {
     val train = MLTestData.blobs(spark, n = 100, seed = 32)
     Models.all.foreach { m =>
-      val preds = m.fit(train, m.defaults, seed = 7)(train)
-        .select("prediction").distinct().collect().map(_.getDouble(0)).toSet
+      val preds = MLTestData.scored(m.fit(train, m.defaults, seed = 7), train).map(_._2).toSet
       assert(preds.subsetOf(Set(0.0, 1.0)), m.name)
     }
   }
@@ -58,11 +61,35 @@ class ModelsSpec extends SparkSpec {
     val test  = MLTestData.xor(spark, n = 120, seed = 34)
     def acc(name: String): Double = {
       val m = Models.byName(name)
-      Evaluate.accuracy(m.fit(train, m.defaults, 7)(test))
+      Evaluate.accuracy(MLTestData.scored(m.fit(train, m.defaults, 7), test))
     }
     assert(acc("decision_tree") > 0.9)
     assert(acc("random_forest") > 0.9)
     assert(acc("xgboost") > 0.9)
     assert(acc("logistic_regression") < 0.75) // linear boundary can't do XOR
+  }
+
+  test("MLlib adapters: predict(v) equals the prediction column of transform") {
+    // Overlapping blobs, so that many points sit near each decision boundary.
+    val train = MLTestData.blobs(spark, n = 200, sep = 0.4, seed = 35)
+    val test  = MLTestData.blobs(spark, n = 150, sep = 0.4, seed = 36)
+    def agree(name: String, model: Transformer): Unit = {
+      val m = Models.byName(name)
+      val predict = m.fit(train, m.defaults, seed = 7)
+      val rows = model.transform(test).select(Features.FeaturesCol, "prediction").collect()
+      rows.foreach(r => assert(predict(r.getAs[Vector](0)) == r.getDouble(1), name))
+    }
+    def p(name: String, k: String) = Models.byName(name).defaults(k)
+    agree("logistic_regression", new LogisticRegression()
+      .setMaxIter(p("logistic_regression", "maxIter").toInt)
+      .setRegParam(p("logistic_regression", "regParam")).fit(train))
+    agree("decision_tree", new DecisionTreeClassifier()
+      .setMaxDepth(p("decision_tree", "maxDepth").toInt).setSeed(7).fit(train))
+    agree("random_forest", new RandomForestClassifier()
+      .setNumTrees(p("random_forest", "numTrees").toInt)
+      .setMaxDepth(p("random_forest", "maxDepth").toInt).setSeed(7).fit(train))
+    agree("xgboost", new GBTClassifier()
+      .setMaxIter(p("xgboost", "maxIter").toInt).setMaxDepth(p("xgboost", "maxDepth").toInt)
+      .setStepSize(p("xgboost", "stepSize")).setSeed(7).fit(train))
   }
 }

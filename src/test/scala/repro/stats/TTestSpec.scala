@@ -80,10 +80,19 @@ class TTestSpec extends AnyFunSuite {
     assert(r.p0 < 1e-10 && r.p2 < 1e-10 && r.p1 > 1.0 - 1e-10)
   }
 
-  test("single pair falls back to sign-based degenerate result") {
-    assert(TTest.paired(Seq((0.5, 0.9))).p1 == 0.0)
-    assert(TTest.paired(Seq((0.9, 0.5))).p2 == 0.0)
-    assert(TTest.paired(Seq((0.5, 0.5))).p0 == 1.0)
+  test("single pair has no test: all p-values are 1") {
+    Seq((0.5, 0.9), (0.9, 0.5), (0.5, 0.5)).foreach { pair =>
+      val r = TTest.paired(Seq(pair))
+      assert(r.n == 1 && r.p0 == 1.0 && r.p1 == 1.0 && r.p2 == 1.0, s"$pair")
+    }
+  }
+
+  test("degenerate: an exactly constant nonzero difference over n >= 2 is p = 0 in its direction") {
+    // Binary fractions: both differences are exactly 0.25, so the variance is 0.
+    val up = TTest.paired(Seq((0.5, 0.75), (0.25, 0.5)))
+    assert(up.t == Double.PositiveInfinity && up.p0 == 0.0 && up.p1 == 0.0 && up.p2 == 1.0)
+    val down = TTest.paired(Seq((0.75, 0.5), (0.5, 0.25)))
+    assert(down.p0 == 0.0 && down.p2 == 0.0 && down.p1 == 1.0)
   }
 
   test("paper Table 12/13 shape: strong consistent improvement is P-like") {
