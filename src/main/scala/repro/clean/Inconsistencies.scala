@@ -5,6 +5,7 @@ import org.apache.spark.sql.functions._
 
 import repro.core.Method
 import repro.data.DataSpec
+import repro.stats.Descriptive
 
 /** Inconsistency cleaning (paper §3.1.4) — an automated stand-in for the
   * paper's interactive OpenRefine workflow, using OpenRefine's default
@@ -29,23 +30,17 @@ object Inconsistencies extends Cleaner {
       .sorted
       .mkString(" ")
 
-  /** fingerprint -> canonical raw value, from training-set frequencies. */
-  def canonicalMap(train: DataFrame, column: String): Map[String, String] = {
-    val counts = train.filter(col(column).isNotNull)
-      .groupBy(col(column)).count()
-      .collect()
-      .map(r => (r.getString(0), r.getLong(1)))
-    counts.groupBy { case (v, _) => fingerprint(v) }
-      .map { case (fp, members) =>
-        val canonical = members.maxBy { case (v, n) => (n, v) }(
-          Ordering.Tuple2(Ordering.Long, Ordering.String.reverse))._1
-        fp -> canonical
-      }
-  }
+  /** fingerprint -> canonical raw value: the most frequent of a column's
+    * non-null training values that share the fingerprint.
+    */
+  def canonicalMap(values: Array[String]): Map[String, String] =
+    values.groupBy(fingerprint).map { case (fp, members) =>
+      fp -> Descriptive.mostFrequent(Descriptive.counts(members))
+    }
 
   def clean(spec: DataSpec, train: DataFrame, test: DataFrame): (DataFrame, DataFrame) = {
     val column = spec.inconsCol.getOrElse(sys.error(s"${spec.name} has no inconsistency column"))
-    val map = canonicalMap(train, column)
+    val map = canonicalMap(Cleaner.columns(train, Seq(column)).values[String](column))
     val mergeUdf = udf { (v: String) =>
       if (v == null) null else map.getOrElse(fingerprint(v), v)
     }

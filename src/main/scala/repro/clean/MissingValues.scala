@@ -5,6 +5,7 @@ import org.apache.spark.sql.functions._
 
 import repro.core.Method
 import repro.data.DataSpec
+import repro.stats.Descriptive
 
 /** Missing-value cleaning (paper §3.1.1).
   *
@@ -47,11 +48,12 @@ object MissingValues {
     val method = Method("empty_entry", s"${numStat}_$catStat")
 
     def clean(spec: DataSpec, train: DataFrame, test: DataFrame): (DataFrame, DataFrame) = {
+      val trainCols = Cleaner.columns(train, spec.numeric ++ spec.categorical)
       val numFill: Map[String, Double] = spec.numeric.map { c =>
-        c -> numericStat(train, c, numStat)
+        c -> numericStat(trainCols.values[Double](c), numStat)
       }.toMap
       val catFill: Map[String, String] = spec.categorical.map { c =>
-        c -> (if (catStat == "dummy") DummyCategory else stringMode(train, c))
+        c -> (if (catStat == "dummy") DummyCategory else stringMode(trainCols.values[String](c)))
       }.toMap
       val textFill: Map[String, String] = spec.text.map(_ -> "").toMap
 
@@ -61,30 +63,17 @@ object MissingValues {
     }
   }
 
-  /** Train-side numeric statistic; mode ties break to the smallest value. */
-  def numericStat(train: DataFrame, c: String, stat: String): Double = stat match {
-    case "mean" =>
-      Option(train.agg(avg(col(c))).head().get(0)).map(_.asInstanceOf[Double]).getOrElse(0.0)
-    case "median" =>
-      Option(train.agg(expr(s"percentile(`$c`, 0.5)")).head().get(0))
-        .map(_.asInstanceOf[Double]).getOrElse(0.0)
-    case "mode" =>
-      val top = train.filter(col(c).isNotNull)
-        .groupBy(col(c)).count()
-        .orderBy(desc("count"), asc(c))
-        .head(1)
-      if (top.isEmpty) 0.0 else top(0).getDouble(0)
-    case other => sys.error(s"unknown numeric imputation: $other")
+  /** Numeric statistic of a column's non-null training values. */
+  def numericStat(values: Array[Double], stat: String): Double = stat match {
+    case "mean"   => Descriptive.mean(values)
+    case "median" => Descriptive.percentile(values, 0.5)
+    case "mode"   => Descriptive.mode(values)
+    case other    => sys.error(s"unknown numeric imputation: $other")
   }
 
-  /** Train-side most frequent category; ties break lexicographically. */
-  def stringMode(train: DataFrame, c: String): String = {
-    val top = train.filter(col(c).isNotNull)
-      .groupBy(col(c)).count()
-      .orderBy(desc("count"), asc(c))
-      .head(1)
-    if (top.isEmpty) DummyCategory else top(0).getString(0)
-  }
+  /** Most frequent of a column's non-null training categories. */
+  def stringMode(values: Array[String]): String =
+    if (values.isEmpty) DummyCategory else Descriptive.mostFrequent(Descriptive.counts(values))
 
   /** Boolean column: row has at least one missing feature cell. */
   def anyMissing(spec: DataSpec): Column =

@@ -5,6 +5,7 @@ import org.apache.spark.sql.functions._
 
 import repro.core.Method
 import repro.data.DataSpec
+import repro.stats.Descriptive
 
 /** Numerical-outlier cleaning (paper §3.1.2).
   *
@@ -21,39 +22,36 @@ object Outliers {
   val Detectors: Seq[String] = Seq("SD", "IQR", "IF")
   val Repairs: Seq[String]   = Seq("delete", "impute_mean", "impute_median", "impute_mode")
 
-  /** Per-column cell-level flag expressions, fit on `train`. */
-  def fitDetector(detect: String, train: DataFrame, cols: Seq[String],
-                  seed: Long = 0L): Map[String, Column => Column] = detect match {
-    case "SD" =>
-      val aggs = cols.flatMap(c => Seq(avg(col(c)), stddev_samp(col(c))))
-      val row  = train.agg(aggs.head, aggs.tail: _*).head()
-      cols.zipWithIndex.map { case (c, i) =>
-        val m  = row.getDouble(2 * i)
-        val sd = Option(row.get(2 * i + 1)).map(_.asInstanceOf[Double]).getOrElse(0.0)
-        val (lo, hi) = (m - 3.0 * sd, m + 3.0 * sd)
-        c -> ((v: Column) => v.isNotNull && (v < lo || v > hi))
-      }.toMap
-    case "IQR" =>
-      val aggs = cols.map(c => expr(s"percentile(`$c`, array(0.25, 0.75))"))
-      val row  = train.agg(aggs.head, aggs.tail: _*).head()
-      cols.zipWithIndex.map { case (c, i) =>
-        val qs = row.getSeq[Double](i)
-        val iqr = qs(1) - qs(0)
-        val (lo, hi) = (qs(0) - 1.5 * iqr, qs(1) + 1.5 * iqr)
-        c -> ((v: Column) => v.isNotNull && (v < lo || v > hi))
-      }.toMap
-    case "IF" =>
-      cols.map { c =>
-        val values = train.select(col(c)).filter(col(c).isNotNull)
-          .collect().map(_.getDouble(0))
-        val forest = IsolationForest.fit(values, numTrees = 50,
-          sampleSize = 256, seed = seed ^ c.hashCode.toLong)
+  /** A cell-level detector fit on one column's non-null training values:
+    * true for an outlier.
+    */
+  def fitDetector(detect: String, values: Array[Double], seed: Long = 0L): Double => Boolean =
+    detect match {
+      case "SD" =>
+        val m  = Descriptive.mean(values)
+        val sd = Descriptive.stddevSamp(values)
+        outside(m - 3.0 * sd, m + 3.0 * sd)
+      case "IQR" =>
+        val (q1, q3) = (Descriptive.percentile(values, 0.25), Descriptive.percentile(values, 0.75))
+        val iqr = q3 - q1
+        outside(q1 - 1.5 * iqr, q3 + 1.5 * iqr)
+      case "IF" =>
+        val forest = IsolationForest.fit(values, numTrees = 50, sampleSize = 256, seed = seed)
         val thr = IsolationForest.threshold(forest, values, contamination = 0.01)
-        val flagUdf = udf((v: Double) => forest.score(v) > thr)
-        c -> ((v: Column) => v.isNotNull && flagUdf(v))
-      }.toMap
-    case other => sys.error(s"unknown outlier detector: $other")
-  }
+        v => forest.score(v) > thr
+      case other => sys.error(s"unknown outlier detector: $other")
+    }
+
+  private def outside(lo: Double, hi: Double): Double => Boolean = v => v < lo || v > hi
+
+  /** Each column's detector; an isolation forest is seeded by the column name. */
+  private def fitDetectors(detect: String, train: Cleaner.Columns,
+                           cols: Seq[String]): Map[String, Double => Boolean] =
+    cols.map(c => c -> fitDetector(detect, train.values[Double](c), seed = c.hashCode.toLong)).toMap
+
+  /** A detector applied to a column; null cells are never flagged. */
+  private[clean] def flagged(isOutlier: Double => Boolean, c: String): Column =
+    udf((v: java.lang.Double) => v != null && isOutlier(v)).apply(col(c))
 
   /** All 12 detector × repair cleaners. */
   val cleaners: Seq[Cleaner] =
@@ -67,22 +65,22 @@ object Outliers {
     def clean(spec: DataSpec, train: DataFrame, test: DataFrame): (DataFrame, DataFrame) = {
       val cols  = spec.outlierCols
       require(cols.nonEmpty, s"${spec.name} has no outlier columns")
-      val flags = fitDetector(detect, train, cols)
+      val trainCols = Cleaner.columns(train, cols)
+      val flags = fitDetectors(detect, trainCols, cols)
       repair match {
         case "delete" =>
-          val anyFlag = cols.map(c => flags(c)(col(c))).reduce(_ || _)
+          val anyFlag = cols.map(c => flagged(flags(c), c)).reduce(_ || _)
           (train.filter(!anyFlag), test.filter(!anyFlag))
         case rep =>
           val stat = rep.stripPrefix("impute_")
           // Imputation value = statistic of the attribute's non-flagged
           // training cells.
           val fill: Map[String, Double] = cols.map { c =>
-            val inliers = train.filter(!flags(c)(col(c)))
-            c -> MissingValues.numericStat(inliers, c, stat)
+            c -> MissingValues.numericStat(trainCols.values[Double](c).filterNot(flags(c)), stat)
           }.toMap
           def repaired(df: DataFrame): DataFrame =
             cols.foldLeft(df) { (d, c) =>
-              d.withColumn(c, when(flags(c)(col(c)), lit(fill(c))).otherwise(col(c)))
+              d.withColumn(c, when(flagged(flags(c), c), lit(fill(c))).otherwise(col(c)))
             }
           (repaired(train), repaired(test))
       }
@@ -92,10 +90,9 @@ object Outliers {
   /** Fraction of flagged cells (diagnostics and tests). */
   def flaggedCellRate(detect: String, train: DataFrame, df: DataFrame,
                       cols: Seq[String]): Double = {
-    val flags = fitDetector(detect, train, cols)
-    val exprs = cols.map(c => sum(when(flags(c)(col(c)), 1L).otherwise(0L)))
-    val row = df.agg(exprs.head, exprs.tail: _*).head()
-    val flagged = cols.indices.map(row.getLong).sum.toDouble
-    flagged / (df.count().toDouble * cols.size)
+    val flags = fitDetectors(detect, Cleaner.columns(train, cols), cols)
+    val cells = Cleaner.columns(df, cols)
+    val flaggedCells = cols.map(c => cells.values[Double](c).count(flags(c))).sum
+    flaggedCells.toDouble / (df.count().toDouble * cols.size)
   }
 }

@@ -12,6 +12,7 @@ import repro.clean.CleaningMethods
 import repro.core.ErrorType._
 import repro.data.{BenchDataset, DataSpec}
 import repro.ml.{Evaluate, Features, ModelAdapter, Models}
+import repro.stats.Descriptive
 
 /** Runs the experiments of one *cell* — a (dataset, error type, variant,
   * split) — producing the raw measurements for every cleaning method,
@@ -68,7 +69,7 @@ object Experiment {
                split: Int, seed: Int, cfg: RunConfig): Fitted = {
     val majority: Double =
       if (arm.classCounts.isEmpty) 0.0
-      else arm.classCounts.maxBy { case (l, n) => (n, -l) }._1
+      else Descriptive.mostFrequent(arm.classCounts)
     def constant: Fitted = {
       val predict: Vector => Double = _ => majority
       Fitted(score(predict, arm.valRows, metric), arm, predict)

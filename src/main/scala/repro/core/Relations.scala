@@ -65,18 +65,20 @@ object Relations {
 
   /** Group pairs by spec keys, run the three paired t-tests per spec, apply
     * BY over all p-values of the relation, and emit the flag per paper rule
-    * (`Flag.of`).
+    * (`Flag.of`). Each spec's pairs enter its t-test in split order, since
+    * `collect_list` after a shuffle has no defined order.
     */
   def flags(pairs: DataFrame, keys: Seq[String], alpha: Double): DataFrame = {
     val spark = pairs.sparkSession
     val grouped = pairs
       .groupBy(keys.map(col): _*)
-      .agg(collect_list(struct(col("b"), col("d"))).as("pairs"))
+      .agg(collect_list(struct(col("split"), col("b"), col("d"))).as("pairs"))
       .collect()
 
     val stats = grouped.map { r =>
       val keyVals = keys.indices.map(i => r.getString(i))
-      val ps = r.getSeq[Row](keys.size).map(p => (p.getDouble(0), p.getDouble(1)))
+      val ps = r.getSeq[Row](keys.size).sortBy(_.getInt(0))
+        .map(p => (p.getDouble(1), p.getDouble(2)))
       (keyVals, TTest.paired(ps))
     }
     val rawP = stats.flatMap { case (_, t) => Seq(t.p0, t.p1, t.p2) }.toSeq

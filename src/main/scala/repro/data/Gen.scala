@@ -6,6 +6,7 @@ import org.apache.spark.sql.{DataFrame, Row, SparkSession}
 import org.apache.spark.sql.types._
 
 import repro.core.ErrorType
+import repro.stats.Descriptive
 
 /** Static description of a synthetic dataset analog (see DESIGN.md §1 for
   * the mapping from each paper dataset to its analog).
@@ -99,11 +100,12 @@ object Gen {
       case _               => None
     })
 
-  def mean(xs: Seq[Double]): Double = if (xs.isEmpty) 0.0 else xs.sum / xs.size
-
+  /** Two-pass, not `Descriptive.stddevSamp`: it sizes the injected jitter,
+    * and Welford's rounding would change the generated data.
+    */
   def stddev(xs: Seq[Double]): Double = {
     if (xs.size < 2) return 0.0
-    val m = mean(xs)
+    val m = Descriptive.mean(xs.toArray)
     math.sqrt(xs.map(x => (x - m) * (x - m)).sum / (xs.size - 1))
   }
 }

@@ -3,6 +3,8 @@ package repro.ml
 import org.apache.spark.ml.linalg.Vector
 import org.apache.spark.sql.DataFrame
 
+import repro.stats.Descriptive
+
 /** From-scratch Gaussian naive Bayes (paper §3.3). Implemented directly
   * (rather than via MLlib's multinomial NB) because standardized features
   * are negative and one-hot columns can be constant within a class —
@@ -22,19 +24,10 @@ object GaussianNB {
 
     val params: Map[Double, (Double, Array[Double], Array[Double])] =
       byClass.map { case (cls, rows) =>
-        val m  = rows.length.toDouble
-        val mu = new Array[Double](dim)
-        rows.foreach { case (x, _) =>
-          var i = 0; while (i < dim) { mu(i) += x(i); i += 1 }
-        }
-        var i = 0; while (i < dim) { mu(i) /= m; i += 1 }
-        val vr = new Array[Double](dim)
-        rows.foreach { case (x, _) =>
-          var j = 0
-          while (j < dim) { val d = x(j) - mu(j); vr(j) += d * d; j += 1 }
-        }
-        var j = 0; while (j < dim) { vr(j) /= m; j += 1 }
-        cls -> (math.log(m / n), mu, vr)
+        val xs = rows.map(_._1).toArray
+        val mu = Array.tabulate(dim)(i => Descriptive.mean(xs.map(_(i))))
+        val vr = Array.tabulate(dim)(i => Descriptive.mean(xs.map { x => val d = x(i) - mu(i); d * d }))
+        cls -> (math.log(rows.length / n), mu, vr)
       }
 
     val maxVar = params.values.flatMap(_._3).foldLeft(0.0)(math.max)

@@ -3,6 +3,8 @@ package repro.ml
 import org.apache.spark.ml.linalg.Vector
 import org.apache.spark.sql.DataFrame
 
+import repro.stats.Descriptive
+
 /** From-scratch k-nearest-neighbors classifier (paper §3.3; MLlib has no
   * KNN). "Training" collects the (features, label) pairs to the driver;
   * prediction is an exact Euclidean majority vote over that array. Suited to
@@ -30,8 +32,7 @@ object KNN {
         }
         .sortBy(_._1)
         .take(kEff)
-      val votes = neighbors.groupBy(_._2).view.mapValues(_.size).toMap
-      votes.toSeq.maxBy { case (l, n) => (n, -l) }._1
+      Descriptive.mostFrequent(Descriptive.counts(neighbors.map(_._2)))
     }
   }
 }

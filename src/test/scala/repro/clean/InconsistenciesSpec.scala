@@ -23,17 +23,13 @@ class InconsistenciesSpec extends SparkSpec {
   }
 
   test("canonical map picks the most frequent raw spelling") {
-    import spark.implicits._
-    val df = Seq("english language", "english language", "English Language",
-      "french language").toDF("language")
-    val m = Inconsistencies.canonicalMap(df, "language")
+    val m = Inconsistencies.canonicalMap(Array("english language", "english language",
+      "English Language", "french language"))
     assert(m(Inconsistencies.fingerprint("english language")) == "english language")
   }
 
   test("canonical map breaks frequency ties lexicographically") {
-    import spark.implicits._
-    val df = Seq("b variant", "variant b").toDF("x")
-    val m = Inconsistencies.canonicalMap(df, "x")
+    val m = Inconsistencies.canonicalMap(Array("b variant", "variant b"))
     assert(m(Inconsistencies.fingerprint("b variant")) == "b variant")
   }
 

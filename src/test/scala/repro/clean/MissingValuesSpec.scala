@@ -11,6 +11,7 @@ class MissingValuesSpec extends SparkSpec {
   private val ds = Datasets.byName("Titanic")
   private lazy val dirty = ds.dirty(spark, ErrorType.MissingValues).cache()
   private lazy val (train, testSet) = repro.core.Splits.trainTest(dirty, 0)
+  private lazy val ages = Cleaner.columns(train, Seq("age")).values[Double]("age")
 
   test("registry exposes exactly the six paper imputation combos") {
     assert(MissingValues.imputers.map(_.method.repair).toSet == Set(
@@ -44,7 +45,7 @@ class MissingValuesSpec extends SparkSpec {
   }
 
   test("mean imputation fills with the train mean (oracle-checked)") {
-    val m = MissingValues.numericStat(train, "age", "mean")
+    val m = MissingValues.numericStat(ages, "mean")
     Oracle.assertEquivalent(
       spark.range(1).select(lit(math.round(m * 1000) / 1000.0).as("train_mean")),
       "SELECT ROUND(AVG(CAST(age AS DOUBLE)), 3) AS train_mean FROM t WHERE age IS NOT NULL",
@@ -58,7 +59,7 @@ class MissingValuesSpec extends SparkSpec {
   }
 
   test("median imputation fills with the exact train median (oracle-checked)") {
-    val m = MissingValues.numericStat(train, "age", "median")
+    val m = MissingValues.numericStat(ages, "median")
     Oracle.assertEquivalent(
       spark.range(1).select(lit(m).as("med")),
       "SELECT QUANTILE_CONT(CAST(age AS DOUBLE), 0.5) AS med FROM t WHERE age IS NOT NULL",
@@ -66,13 +67,11 @@ class MissingValuesSpec extends SparkSpec {
   }
 
   test("numeric mode picks the most frequent value, ties to smallest") {
-    import spark.implicits._
-    val df = Seq(3.0, 3.0, 1.0, 1.0, 2.0).toDF("x")
-    assert(MissingValues.numericStat(df, "x", "mode") == 1.0)
+    assert(MissingValues.numericStat(Array(3.0, 3.0, 1.0, 1.0, 2.0), "mode") == 1.0)
   }
 
   test("categorical mode and dummy imputation") {
-    val mode = MissingValues.stringMode(train, "embarked")
+    val mode = MissingValues.stringMode(Cleaner.columns(train, Seq("embarked")).values[String]("embarked"))
     assert(Seq("s", "c", "q").contains(mode))
     val (trMode, _) = MissingValues.imputer("mean", "mode").clean(ds.spec, train, testSet)
     val (trDummy, _) = MissingValues.imputer("mean", "dummy").clean(ds.spec, train, testSet)

@@ -12,6 +12,9 @@ class OutliersSpec extends SparkSpec {
   private lazy val dirty = ds.dirty(spark, ErrorType.Outliers).cache()
   private lazy val (train, testSet) = repro.core.Splits.trainTest(dirty, 0)
 
+  private def detector(detect: String, c: String) =
+    Outliers.fitDetector(detect, Cleaner.columns(train, Seq(c)).values[Double](c))
+
   test("registry has the 12 paper detector-repair combinations") {
     assert(Outliers.cleaners.size == 12)
     assert(Outliers.cleaners.map(_.method.detect).toSet == Set("SD", "IQR", "IF"))
@@ -20,8 +23,7 @@ class OutliersSpec extends SparkSpec {
   }
 
   test("SD detection count matches DuckDB mean±3sd (oracle-checked)") {
-    val flags = Outliers.fitDetector("SD", train, Seq("f1"))
-    val cnt = train.filter(flags("f1")(col("f1"))).count()
+    val cnt = train.filter(Outliers.flagged(detector("SD", "f1"), "f1")).count()
     Oracle.assertEquivalent(
       spark.range(1).select(lit(cnt).as("flagged")),
       """SELECT COUNT(*) AS flagged FROM t
@@ -33,8 +35,7 @@ class OutliersSpec extends SparkSpec {
   }
 
   test("IQR detection count matches DuckDB quantile fences (oracle-checked)") {
-    val flags = Outliers.fitDetector("IQR", train, Seq("f2"))
-    val cnt = train.filter(flags("f2")(col("f2"))).count()
+    val cnt = train.filter(Outliers.flagged(detector("IQR", "f2"), "f2")).count()
     Oracle.assertEquivalent(
       spark.range(1).select(lit(cnt).as("flagged")),
       """WITH q AS (SELECT QUANTILE_CONT(CAST(f2 AS DOUBLE), 0.25) AS q1,
@@ -73,8 +74,7 @@ class OutliersSpec extends SparkSpec {
 
   test("delete repair removes exactly the rows with flagged cells") {
     val (trC, teC) = Outliers.cleaner("SD", "delete").clean(ds.spec, train, testSet)
-    val flags = Outliers.fitDetector("SD", train, ds.spec.outlierCols)
-    val anyFlag = ds.spec.outlierCols.map(c => flags(c)(col(c))).reduce(_ || _)
+    val anyFlag = ds.spec.outlierCols.map(c => Outliers.flagged(detector("SD", c), c)).reduce(_ || _)
     assert(trC.count() == train.filter(!anyFlag).count())
     assert(teC.count() == testSet.filter(!anyFlag).count())
     assert(trC.filter(anyFlag).count() == 0)
@@ -93,8 +93,7 @@ class OutliersSpec extends SparkSpec {
 
   test("imputed value is the statistic of NON-flagged training cells") {
     val (trC, _) = Outliers.cleaner("SD", "impute_mean").clean(ds.spec, train, testSet)
-    val flags = Outliers.fitDetector("SD", train, Seq("f1"))
-    val inlierMean = train.filter(!flags("f1")(col("f1")))
+    val inlierMean = train.filter(!Outliers.flagged(detector("SD", "f1"), "f1"))
       .agg(avg(col("f1"))).head().getDouble(0)
     val changed = trC.alias("c").join(train.alias("d"), "rid")
       .filter(col("c.f1") =!= col("d.f1"))
@@ -109,8 +108,7 @@ class OutliersSpec extends SparkSpec {
     // corrupted test data.
     val wildTest = testSet.withColumn("f1", col("f1") * 1000)
     val (_, te2) = Outliers.cleaner("SD", "impute_mean").clean(ds.spec, train, wildTest)
-    val flags = Outliers.fitDetector("SD", train, Seq("f1"))
-    assert(te2.filter(flags("f1")(col("f1"))).count() == 0)
+    assert(te2.filter(Outliers.flagged(detector("SD", "f1"), "f1")).count() == 0)
   }
 
   test("cleaning corruption brings the dirty train closer to the clean truth") {

@@ -1,6 +1,7 @@
 package repro.core
 
 import org.apache.spark.sql.DataFrame
+import org.apache.spark.sql.functions.desc
 
 import repro.{Oracle, SparkSpec}
 
@@ -119,6 +120,18 @@ class RelationsSpec extends SparkSpec {
     val rawSignificant = weakRow.getAs[Double]("p0") < 0.05
     val corrected = weakRow.getAs[Double]("p0_adj")
     if (rawSignificant) assert(corrected > weakRow.getAs[Double]("p0"))
+  }
+
+  test("flags do not depend on the order of the pairs") {
+    val rng = new scala.util.Random(5)
+    val meas = for (spec <- 0 until 6; s <- 0 until 8)
+      yield m(dataset = s"D$spec", split = s, testB = rng.nextDouble(), testD = rng.nextDouble())
+    val pairs = Relations.r1Pairs(meas.toDF()).cache()
+    def flagged(df: DataFrame) =
+      Relations.flags(df, Relations.R1Keys, alpha = 0.05).orderBy("dataset").collect().toSeq
+    val inOrder = flagged(pairs.orderBy("split").coalesce(1))
+    assert(flagged(pairs.orderBy(desc("split")).coalesce(1)) == inOrder)
+    assert(flagged(pairs.orderBy(desc("split")).repartition(7)) == inOrder)
   }
 
   test("Flag.of: P/N need both adjusted p-values strictly below alpha") {

@@ -1,5 +1,7 @@
 package repro.stats
 
+import org.scalacheck.{Arbitrary, Gen, Prop, Test}
+import org.scalacheck.util.Pretty
 import org.scalatest.funsuite.AnyFunSuite
 
 class FDRSpec extends AnyFunSuite {
@@ -38,28 +40,43 @@ class FDRSpec extends AnyFunSuite {
     assert(approxSeq(Seq(adj(1), adj(2), adj(0)), sortedAdj))
   }
 
+  /** p-value lists with ties, zeros and ones mixed into uniform draws. */
+  private val pValues: Gen[List[Double]] = Gen.listOf(Gen.frequency(
+    3 -> Gen.choose(0.0, 1.0), 1 -> Gen.oneOf(0.0, 0.001, 0.01, 0.05, 0.5, 1.0)))
+
+  private def holds(prop: Prop): Unit = {
+    val result = Test.check(Test.Parameters.default.withMinSuccessfulTests(500), prop)
+    assert(result.passed, Pretty.pretty(result))
+  }
+
+  private def adjustments(p: Seq[Double]): Seq[Seq[Double]] =
+    Seq(FDR.bonferroni(p), FDR.benjaminiHochberg(p), FDR.benjaminiYekutieli(p))
+
   test("BY is more conservative than BH which is more conservative than raw") {
-    val rng = new scala.util.Random(3)
-    (0 until 50).foreach { _ =>
-      val p = Seq.fill(20)(rng.nextDouble())
-      val bh = FDR.benjaminiHochberg(p)
-      val by = FDR.benjaminiYekutieli(p)
-      p.indices.foreach { i =>
-        assert(p(i) <= bh(i) + 1e-12)
-        assert(bh(i) <= by(i) + 1e-12)
-        assert(by(i) <= 1.0)
-      }
-    }
+    holds(Prop.forAll(pValues) { p =>
+      val (bh, by) = (FDR.benjaminiHochberg(p), FDR.benjaminiYekutieli(p))
+      p.indices.forall(i => p(i) <= bh(i) * (1 + 1e-12) && bh(i) <= by(i))
+    })
+  }
+
+  test("every adjusted p-value is at most 1") {
+    holds(Prop.forAll(pValues)(p => adjustments(p).forall(_.forall(_ <= 1.0))))
   }
 
   test("adjusted p-values preserve the ranking of raw p-values") {
-    val rng = new scala.util.Random(9)
-    val p = Seq.fill(50)(rng.nextDouble())
-    val by = FDR.benjaminiYekutieli(p)
-    val order = p.zipWithIndex.sortBy(_._1).map(_._2)
-    order.sliding(2).foreach { case Seq(i, j) =>
-      assert(by(i) <= by(j) + 1e-12)
-    }
+    holds(Prop.forAll(pValues) { p =>
+      val order = p.indices.sortBy(p)
+      adjustments(p).forall(adj => order.zip(order.drop(1)).forall { case (i, j) => adj(i) <= adj(j) })
+    })
+  }
+
+  test("permuting the input permutes the adjusted p-values the same way") {
+    holds(Prop.forAll(pValues, Arbitrary.arbitrary[Long]) { (p, seed) =>
+      val perm = new scala.util.Random(seed).shuffle(p.indices.toVector)
+      adjustments(p).zip(adjustments(perm.map(p))).forall { case (adj, adjPermuted) =>
+        adjPermuted == perm.map(adj)
+      }
+    })
   }
 
   test("empty and singleton inputs") {
