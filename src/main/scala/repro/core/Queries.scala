@@ -1,48 +1,68 @@
 package repro.core
 
-import org.apache.spark.sql.DataFrame
+import org.apache.spark.sql.{DataFrame, Row}
+import org.apache.spark.sql.functions._
 
-/** The analysis SQL of paper §2.2 — Q1..Q5 group-by-flag queries over a
-  * relation. The SQL strings are shared with the DuckDB oracle in tests so
-  * Spark's aggregation is cross-checked row-for-row.
+/** The analysis queries of paper §2.2: the Q1..Q5 blocks of Table 15, each
+  * a count of a relation's rows by `flag` and at most one more column.
+  * All blocks of one relation and error type come from one
+  * `GROUPING SETS` query; its `grouping(c)` flags say which block a result
+  * row belongs to.
   */
 object Queries {
 
-  def q1Sql(view: String, e: String): String =
-    s"""SELECT flag, COUNT(*) AS cnt
-       |FROM $view WHERE error_type = '$e'
-       |GROUP BY flag""".stripMargin
+  /** One Table 15 block: its name and its group column (None for Q1). */
+  final case class Block(name: String, by: Option[String])
 
-  def q2Sql(view: String, e: String): String =
-    s"""SELECT scenario, flag, COUNT(*) AS cnt
-       |FROM $view WHERE error_type = '$e'
-       |GROUP BY scenario, flag""".stripMargin
+  /** Group key -> flag -> count: the measured rows of one block. */
+  type Counts = Map[Seq[String], Map[String, Long]]
 
-  /** Q3 is only applicable to R1 (R2/R3 have no model attribute). */
-  def q3Sql(view: String, e: String): String =
-    s"""SELECT model, flag, COUNT(*) AS cnt
-       |FROM $view WHERE error_type = '$e'
-       |GROUP BY model, flag""".stripMargin
+  /** The blocks that apply to relation `relation` ("R1", "R2" or "R3") for
+    * one error type, in print order: Q2 for every error type but missing
+    * values (BD only), Q3 on R1 only (R2/R3 have no model attribute), Q4.1
+    * and Q4.2 for the multi-method error types outside R3, Q1 and Q5
+    * always.
+    */
+  def blocks(relation: String, error: ErrorType): Seq[Block] = {
+    val multiMethod = error == ErrorType.Outliers || error == ErrorType.MissingValues
+    Seq(
+      Some(Block("Q1", None)),
+      Option.when(error != ErrorType.MissingValues)(Block("Q2", Some("scenario"))),
+      Option.when(relation == "R1")(Block("Q3", Some("model"))),
+      Option.when(multiMethod && relation != "R3")(Block("Q4.1", Some("detect"))),
+      Option.when(multiMethod && relation != "R3")(Block("Q4.2", Some("repair"))),
+      Some(Block("Q5", Some("dataset")))).flatten
+  }
 
-  /** Q4.1/Q4.2 apply to error types with more than one cleaning method. */
-  def q41Sql(view: String, e: String): String =
-    s"""SELECT detect AS detect_method, flag, COUNT(*) AS cnt
-       |FROM $view WHERE error_type = '$e'
-       |GROUP BY detect, flag""".stripMargin
+  private def groupingCol(c: String): String = s"grouping_$c"
 
-  def q42Sql(view: String, e: String): String =
-    s"""SELECT repair AS repair_method, flag, COUNT(*) AS cnt
-       |FROM $view WHERE error_type = '$e'
-       |GROUP BY repair, flag""".stripMargin
+  /** The one query behind `table15`: `relation`'s rows of this error type,
+    * counted over one grouping set per block. Columns: every group column,
+    * `flag`, `cnt`, and `grouping_<c>` (1 where `c` is not grouped) per
+    * group column.
+    */
+  def groupingSets(relation: DataFrame, blocks: Seq[Block], error: ErrorType): DataFrame = {
+    val by = blocks.flatMap(_.by).distinct
+    relation.filter(col("error_type") === error.name)
+      .groupingSets(blocks.map(b => (b.by.toSeq :+ "flag").map(col)), (by :+ "flag").map(col): _*)
+      .agg(count(lit(1)).as("cnt"), by.map(c => grouping(c).as(groupingCol(c))): _*)
+  }
 
-  def q5Sql(view: String, e: String): String =
-    s"""SELECT dataset, flag, COUNT(*) AS cnt
-       |FROM $view WHERE error_type = '$e'
-       |GROUP BY dataset, flag""".stripMargin
-
-  /** Run a query against a relation DataFrame via a temp view. */
-  def run(relation: DataFrame, sql: String, view: String): DataFrame = {
-    relation.createOrReplaceTempView(view)
-    relation.sparkSession.sql(sql)
+  /** Every block of relation `name` for one error type, from one query.
+    * A result row belongs to the block whose group column is the one its
+    * grouping flags mark as grouped; a null group value is the key "∅". A
+    * block with no rows maps to no counts.
+    */
+  def table15(relation: DataFrame, name: String, error: ErrorType): Seq[(Block, Counts)] = {
+    val bs = blocks(name, error)
+    val by = bs.flatMap(_.by).distinct
+    val rows = groupingSets(relation, bs, error).collect().toSeq
+    def grouped(r: Row): Set[String] = by.filter(c => r.getAs[Byte](groupingCol(c)) == 0).toSet
+    bs.map { b =>
+      b -> rows.filter(r => grouped(r) == b.by.toSet)
+        .groupMap(r => b.by.toSeq.map(c => Option(r.getAs[Any](c)).fold("∅")(_.toString)))(
+          r => r.getAs[String]("flag") -> r.getAs[Long]("cnt"))
+        .map { case (k, counts) => k -> counts.toMap }
+    }
   }
 }

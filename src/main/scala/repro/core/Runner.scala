@@ -1,9 +1,6 @@
 package repro.core
 
-import java.util.concurrent.Executors
-
-import scala.concurrent.{Await, ExecutionContext, Future}
-import scala.concurrent.duration.Duration
+import java.util.concurrent.{Callable, ExecutionException, Executors, TimeUnit}
 
 import org.apache.spark.sql.{DataFrame, SparkSession}
 
@@ -12,7 +9,8 @@ import repro.data.{BenchDataset, Datasets}
 /** Orchestrates the benchmark: runs the measurement grid (driver-parallel
   * over (dataset, error, variant, split) cells, each cell a sequence of
   * Spark jobs), derives the R1/R2/R3 relations, and prints the Table-15
-  * analysis blocks.
+  * analysis blocks. The cells, the three relations and the three
+  * relations' queries each run concurrently, through `concurrently`.
   */
 object Runner {
 
@@ -20,6 +18,29 @@ object Runner {
                                       r2: DataFrame, r3: DataFrame)
 
   private val ShufflePartitions = "spark.sql.shuffle.partitions"
+
+  /** Run `tasks` on a fixed pool of at most `threads` threads made for this
+    * call, and return their results in order. The pool's threads are
+    * started by the calling thread, so they inherit its Spark local
+    * properties. Every task has ended, or was cancelled before it started,
+    * when this returns or rethrows the first failure: no Spark job a task
+    * submits outlives the call.
+    */
+  private def concurrently[A](threads: Int)(tasks: Seq[() => A]): Seq[A] = {
+    val pool = Executors.newFixedThreadPool(math.max(1, math.min(threads, tasks.size)))
+    try {
+      val futures = tasks.toVector.map(t => pool.submit(new Callable[A] { def call(): A = t() }))
+      try futures.map(_.get())
+      catch {
+        case e: ExecutionException =>
+          futures.foreach(_.cancel(false))
+          throw e.getCause
+      }
+    } finally {
+      pool.shutdown()
+      pool.awaitTermination(Long.MaxValue, TimeUnit.NANOSECONDS)
+    }
+  }
 
   /** Run the measurement grid for the given error types/datasets. */
   def measurements(spark: SparkSession, cfg: RunConfig,
@@ -35,17 +56,13 @@ object Runner {
       df.count()
       ((ds, e, v), df)
     }
-    val pool = Executors.newFixedThreadPool(math.max(1, cfg.parallelism))
-    implicit val ec: ExecutionContext = ExecutionContext.fromExecutor(pool)
     try {
-      val futures =
+      val rows = concurrently(cfg.parallelism)(
         for (((ds, e, v), full) <- fulls; split <- 0 until cfg.splits)
-          yield Future(Experiment.runCell(ds, e, v, full, split, cfg))
-      val rows = Await.result(Future.sequence(futures), Duration.Inf).flatten
+          yield () => Experiment.runCell(ds, e, v, full, split, cfg)).flatten
       import spark.implicits._
       rows.toDF()
     } finally {
-      pool.shutdown()
       fulls.foreach(_._2.unpersist(blocking = false))
       spark.conf.set(ShufflePartitions, callerPartitions)
     }
@@ -56,39 +73,34 @@ object Runner {
           datasets: Seq[BenchDataset] = Datasets.all): BenchmarkRelations = {
     val meas = measurements(spark, cfg, errors, datasets).cache()
     meas.count()
-    BenchmarkRelations(meas,
-      Relations.r1(meas, cfg.alpha),
-      Relations.r2(meas, cfg.alpha),
-      Relations.r3(meas, cfg.alpha))
+    val Seq(r1, r2, r3) = concurrently(3)(Seq(
+      () => Relations.r1(meas, cfg.alpha),
+      () => Relations.r2(meas, cfg.alpha),
+      () => Relations.r3(meas, cfg.alpha)))
+    BenchmarkRelations(meas, r1, r2, r3)
   }
 
   /** Print the Table 15 blocks (Q1..Q5) for one error type, with the
-    * paper's numbers alongside where recovered (PaperNumbers).
+    * paper's numbers alongside where recovered (PaperNumbers). The three
+    * relations' queries run together; the blocks print on the calling
+    * thread, R1's first.
     */
   def printTable15(rel: BenchmarkRelations, error: ErrorType): Unit = {
     val e = error.name
-    val multiMethod = error == ErrorType.Outliers || error == ErrorType.MissingValues
     println(s"\n===== Table 15 blocks for error type: $e =====")
     PaperNumbers.notes.getOrElse(e, Nil).foreach(n => println(s"  [paper] $n"))
-    for ((rName, rel1) <- Seq(("R1", rel.r1), ("R2", rel.r2), ("R3", rel.r3))) {
-      val view = s"rel_$rName"
-      def show(q: String, sql: String,
-               paper: Seq[String] => Option[Map[String, Int]]): Unit =
-        TableFormat.printBlock(s"$q [$rName, $e]",
-          TableFormat.collect(Queries.run(rel1, sql, view)), paper)
-
-      show("Q1", Queries.q1Sql(view, e), _ => PaperNumbers.q1.get((rName, e)))
-      if (error != ErrorType.MissingValues)
-        show("Q2", Queries.q2Sql(view, e),
-          k => PaperNumbers.q2.get((rName, e, k.headOption.getOrElse(""))))
-      if (rName == "R1")
-        show("Q3", Queries.q3Sql(view, e),
-          k => PaperNumbers.q3.get((rName, e, k.headOption.getOrElse(""))))
-      if (multiMethod && rName != "R3") {
-        show("Q4.1", Queries.q41Sql(view, e), _ => None)
-        show("Q4.2", Queries.q42Sql(view, e), _ => None)
+    val relations = Seq(("R1", rel.r1), ("R2", rel.r2), ("R3", rel.r3))
+    val results = concurrently(relations.size)(relations.map { case (rName, df) =>
+      () => Queries.table15(df, rName, error)
+    })
+    for (((rName, _), blocks) <- relations.zip(results); (block, counts) <- blocks) {
+      val paper: Seq[String] => Option[Map[String, Int]] = block.name match {
+        case "Q1" => _ => PaperNumbers.q1.get((rName, e))
+        case "Q2" => k => PaperNumbers.q2.get((rName, e, k.headOption.getOrElse("")))
+        case "Q3" => k => PaperNumbers.q3.get((rName, e, k.headOption.getOrElse("")))
+        case _    => _ => None
       }
-      show("Q5", Queries.q5Sql(view, e), _ => None)
+      TableFormat.printBlock(s"${block.name} [$rName, $e]", counts, paper)
     }
   }
 }

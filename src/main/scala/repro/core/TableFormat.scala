@@ -1,7 +1,5 @@
 package repro.core
 
-import org.apache.spark.sql.DataFrame
-
 /** Console rendering of Table-15-style flag distributions, printing the
   * measured P/S/N shares next to the paper's where known.
   */
@@ -18,21 +16,6 @@ object TableFormat {
 
   def distInt(counts: Map[String, Int]): String =
     dist(counts.map { case (k, v) => k -> v.toLong })
-
-  /** Collect a query result with a `flag`/`cnt` pair plus 0..2 leading
-    * group columns into rows of (groupKey, flag->count).
-    */
-  def collect(df: DataFrame): Map[Seq[String], Map[String, Long]] = {
-    val cols = df.columns
-    val flagIdx = cols.indexOf("flag")
-    val cntIdx  = cols.indexOf("cnt")
-    val groupIdx = cols.indices.filter(i => i != flagIdx && i != cntIdx)
-    df.collect()
-      .groupBy(r => groupIdx.map(i => Option(r.get(i)).map(_.toString).getOrElse("∅")))
-      .map { case (k, rows) =>
-        k -> rows.map(r => r.getString(flagIdx) -> r.getLong(cntIdx)).toMap
-      }
-  }
 
   /** Print one query block: measured vs paper per group row. */
   def printBlock(title: String, measured: Map[Seq[String], Map[String, Long]],

@@ -1,5 +1,14 @@
 package repro.core
 
+import java.io.{ByteArrayOutputStream, PrintStream}
+import java.nio.charset.StandardCharsets.UTF_8
+
+import scala.collection.mutable.ArrayBuffer
+
+import org.apache.spark.ListenerBusAccess
+import org.apache.spark.scheduler.{SparkListener, SparkListenerJobStart}
+import org.apache.spark.sql.DataFrame
+
 import repro.SparkSpec
 import repro.core.ErrorType._
 import repro.data.Datasets
@@ -58,5 +67,100 @@ class RunnerSpec extends SparkSpec {
 
   test("printTable15 renders without error") {
     Runner.printTable15(rel, Inconsistencies)
+  }
+
+  /** A small inconsistencies grid: University and Company, naive Bayes. */
+  private val small = cfg.copy(models = Seq("naive_bayes"))
+  private val smallData = Seq(Datasets.byName("University"), Datasets.byName("Company"))
+
+  /** What `body` prints to `Console.out`. */
+  private def printed(body: => Unit): String = {
+    val out = new ByteArrayOutputStream()
+    Console.withOut(new PrintStream(out, true, UTF_8))(body)
+    out.toString(UTF_8)
+  }
+
+  private val CallerKey = "repro.test.caller"
+
+  /** The Spark local property `CallerKey` of every job started by `body`. */
+  private def jobsStartedBy(body: => Unit): Seq[Option[String]] = {
+    val sc = spark.sparkContext
+    val seen = ArrayBuffer.empty[Option[String]]
+    val listener = new SparkListener {
+      override def onJobStart(e: SparkListenerJobStart): Unit = seen.synchronized {
+        seen += Option(e.properties).flatMap(p => Option(p.getProperty(CallerKey)))
+      }
+    }
+    ListenerBusAccess.drain(sc)
+    sc.addSparkListener(listener)
+    try { body; ListenerBusAccess.drain(sc) }
+    finally sc.removeSparkListener(listener)
+    seen.synchronized(seen.toList)
+  }
+
+  private def sortedRows(df: DataFrame): Seq[String] =
+    df.collect().map(_.toSeq.mkString("\t")).toSeq.sorted
+
+  test("a failing cell: measurements rethrows only after every cell has ended") {
+    val sc = spark.sparkContext
+    val failing = cfg.copy(splits = 6, parallelism = 2, models = Seq("naive_bayes", "no_such_model"))
+    val jobsInCall = jobsStartedBy {
+      val e = intercept[RuntimeException] {
+        Runner.measurements(spark, failing, Set(Inconsistencies), smallData)
+      }
+      assert(e.getMessage.contains("unknown model: no_such_model"))
+      ListenerBusAccess.drain(sc)
+      assert(sc.statusTracker.getActiveJobIds().isEmpty)
+    }
+    val jobsAfter = jobsStartedBy(Thread.sleep(500))
+    assert(jobsInCall.nonEmpty && jobsAfter.isEmpty)
+  }
+
+  test("printTable15 prints byte-identical text to the block-by-block queries") {
+    val rel = Table15Reference.relations(spark)
+    // Duplicates has no rows; missing values has no Q2; R3 has no Q4.
+    for (e <- Seq(Inconsistencies, Outliers, MissingValues, Duplicates)) {
+      val got = printed(Runner.printTable15(rel, e))
+      val want = printed(Table15Reference.printTable15(rel, e))
+      withClue(e.name) { assert(got == want) }
+    }
+    val outliers = printed(Runner.printTable15(rel, Outliers))
+    assert(outliers.contains("== Q4.1 [R2, outliers]") && !outliers.contains("== Q4.1 [R3, outliers]"))
+    assert(outliers.contains("  ∅ "))
+    assert(!printed(Runner.printTable15(rel, MissingValues)).contains("== Q2"))
+  }
+
+  test("every job of run and printTable15 carries the caller's local properties") {
+    val sc = spark.sparkContext
+    def tagged(tag: String)(body: => Unit): Seq[Option[String]] =
+      jobsStartedBy {
+        sc.setLocalProperty(CallerKey, tag)
+        try body finally sc.setLocalProperty(CallerKey, null)
+      }
+    var rel: Runner.BenchmarkRelations = null
+    val runJobs = tagged("run") {
+      rel = Runner.run(spark, small, Set(Inconsistencies), smallData.take(1))
+    }
+    val printJobs = tagged("print")(printed(Runner.printTable15(rel, Inconsistencies)))
+    assert(runJobs.nonEmpty && runJobs.forall(_.contains("run")))
+    assert(printJobs.nonEmpty && printJobs.forall(_.contains("print")))
+    rel.measurements.unpersist()
+  }
+
+  test("run's R1, R2 and R3 equal the relations built one after another, at parallelism 1 and 4") {
+    val rows = for (p <- Seq(1, 4)) yield {
+      val c = small.copy(parallelism = p)
+      val rel = Runner.run(spark, c, Set(Inconsistencies), smallData)
+      val meas = rel.measurements
+      val serial = Seq(Relations.r1(meas, c.alpha), Relations.r2(meas, c.alpha),
+        Relations.r3(meas, c.alpha))
+      Seq(rel.r1, rel.r2, rel.r3).zip(serial).foreach { case (got, want) =>
+        assert(sortedRows(got) == sortedRows(want))
+      }
+      val out = (sortedRows(meas), sortedRows(rel.r1), sortedRows(rel.r2), sortedRows(rel.r3))
+      meas.unpersist()
+      out
+    }
+    assert(rows(0) == rows(1))
   }
 }
