@@ -3,9 +3,8 @@ package repro.core
 import scala.collection.mutable.ArrayBuffer
 import scala.util.{Random, Try}
 
-import org.apache.spark.ml.PipelineModel
 import org.apache.spark.ml.linalg.Vector
-import org.apache.spark.sql.DataFrame
+import org.apache.spark.sql.{DataFrame, Row}
 import org.apache.spark.sql.functions._
 
 import repro.clean.CleaningMethods
@@ -25,37 +24,40 @@ object Experiment {
     */
   final case class Fitted(valScore: Double, arm: Arm, predict: Vector => Double)
 
-  /** A featurized training arm: the preprocessing pipeline fit on this
-    * arm's training set, the downsampled sub-train (cached, for the fits),
-    * the collected validation rows, and the arm's class histogram for
+  /** A featurized training arm, on the driver: the featurizer fit on this
+    * arm's training set, the downsampled sub-train rows (for the fits), the
+    * validation rows, and the sub-train's class histogram for
     * degenerate-case guards. An arm belongs to the one cell thread that
     * built it.
     */
-  final case class Arm(spec: DataSpec, pipeline: PipelineModel, sub: DataFrame,
+  final case class Arm(spec: DataSpec, featurize: Features.Featurizer, sub: Features.Train,
                        valRows: Seq[(Vector, Double)], classCounts: Map[Double, Long]) {
     private val collected = new java.util.IdentityHashMap[DataFrame, Seq[(Vector, Double)]]
 
     /** The (features, label) rows of a raw frame featurized by this arm's
-      * pipeline, collected on the first call for that frame instance.
+      * featurizer, collected on the first call for that frame instance.
       */
     def rows(raw: DataFrame): Seq[(Vector, Double)] =
-      collected.computeIfAbsent(raw, df => Features.rows(pipeline.transform(df)))
+      collected.computeIfAbsent(raw, df =>
+        df.select((spec.featureCols :+ "label").map(col): _*).collect().toSeq
+          .map(r => (featurize(r), r.getAs[Double]("label"))))
   }
 
-  /** Build a training arm from raw training rows; the cached sub-train is
-    * added to `cached`.
+  /** Build a training arm from raw training rows, collected by partition in
+    * one job; the featurizing, the sub-train/validation split and the
+    * downsampling run on the driver. `cached` is unused: an arm caches no
+    * frame.
     */
   def buildArm(spec: DataSpec, trainRaw: DataFrame, split: Int,
                cached: ArrayBuffer[DataFrame]): Arm = {
-    val pipeline = Features.fit(spec, trainRaw)
-    val featurized = pipeline.transform(trainRaw)
-      .select(col("rid"), col(Features.FeaturesCol), col("label"))
-    val (sub0, valFold) = Splits.subVal(featurized, salt = split * 131 + 17)
-    val sub = Features.downsample(spec, sub0, seed = split.toLong).cache()
-    cached += sub
-    val classCounts = sub.groupBy("label").count().collect()
-      .map(r => r.getDouble(0) -> r.getLong(1)).toMap
-    Arm(spec, pipeline, sub, Features.rows(valFold), classCounts)
+    val parts = trainRaw.select(("rid" +: spec.featureCols :+ "label").map(col): _*)
+      .rdd.glom().collect().toSeq.map(_.toSeq)
+    val featurize = Features.fit(spec, parts)
+    def labeled(rs: Seq[Row]) = rs.map(r => (featurize(r), r.getAs[Double]("label")))
+    val (sub0, valFold) = parts.map(Splits.subVal(_, salt = split * 131 + 17)(_.getAs[Long]("rid"))).unzip
+    val sub = Features.downsample(spec, sub0.map(labeled), seed = split.toLong)
+    Arm(spec, featurize, Features.Train(sub, featurize.attributes), labeled(valFold.flatten),
+      Descriptive.counts(sub.flatten.map(_._2)))
   }
 
   private def score(predict: Vector => Double, rows: Seq[(Vector, Double)], metric: String): Double =
@@ -126,9 +128,10 @@ object Experiment {
       val armB = buildArm(spec, baseTrain, split, cached)
       val arms = cleaners.map { c =>
         val (trC0, teC) = c.clean(spec, trainRaw, testRaw)
-        // Cache the cleaned train: the feature pipeline makes several
-        // passes over it, and the cleaning transforms (iforest UDFs,
-        // per-cell repairs) are expensive to recompute.
+        // Cache the cleaned sets: the cleaning transforms (iforest UDFs,
+        // per-cell repairs) are expensive to recompute, and two arms collect
+        // the test set. A cached shuffle output (deduplication) keeps the
+        // shuffle's partitions, which the arm's statistics and fits follow.
         val trC = trC0.cache(); cached += trC
         val teCached = teC.cache(); cached += teCached
         (c.method, buildArm(spec, trC, split, cached), teCached)

@@ -2,6 +2,8 @@ package repro.core
 
 import java.util.concurrent.{Callable, ExecutionException, Executors, TimeUnit}
 
+import scala.collection.mutable.ArrayBuffer
+
 import org.apache.spark.sql.{DataFrame, SparkSession}
 
 import repro.data.{BenchDataset, Datasets}
@@ -47,18 +49,19 @@ object Runner {
                    errors: Set[ErrorType],
                    datasets: Seq[BenchDataset] = Datasets.all): DataFrame = {
     // Tiny per-dataset frames: low shuffle parallelism is much faster.
-    // The caller's value is restored on the way out.
+    // The caller's value is restored, and every cached frame released, on
+    // the way out, also when a dataset fails to build.
     val callerPartitions = spark.conf.get(ShufflePartitions)
-    spark.conf.set(ShufflePartitions, "2")
-    val cells = Specs.cells(errors, datasets)
-    val fulls = cells.map { case (ds, e, v) =>
-      val df = ds.dirty(spark, e, v).cache()
-      df.count()
-      ((ds, e, v), df)
-    }
+    val fulls = ArrayBuffer.empty[((BenchDataset, ErrorType, String), DataFrame)]
     try {
+      spark.conf.set(ShufflePartitions, "2")
+      for (cell @ (ds, e, v) <- Specs.cells(errors, datasets)) {
+        val df = ds.dirty(spark, e, v).cache()
+        fulls += cell -> df
+        df.count()
+      }
       val rows = concurrently(cfg.parallelism)(
-        for (((ds, e, v), full) <- fulls; split <- 0 until cfg.splits)
+        for (((ds, e, v), full) <- fulls.toSeq; split <- 0 until cfg.splits)
           yield () => Experiment.runCell(ds, e, v, full, split, cfg)).flatten
       import spark.implicits._
       rows.toDF()

@@ -4,24 +4,23 @@ import scala.collection.mutable.ArrayBuffer
 
 import org.apache.spark.ml.classification.{DecisionTreeClassificationModel, DecisionTreeClassifier}
 import org.apache.spark.ml.linalg.Vector
-import org.apache.spark.sql.DataFrame
+import org.apache.spark.sql.SparkSession
 
 /** From-scratch binary AdaBoost (discrete SAMME; paper §3.3 — MLlib has no
-  * AdaBoost). Base learners are weighted MLlib decision trees. The training
-  * rows are collected once and the sample weights live in a driver array:
+  * AdaBoost). Base learners are weighted MLlib decision trees. The sample
+  * weights of the training rows live in a driver array:
   * the weighted error and the reweighting are computed locally from each
   * tree's `predict`, and only the weighted tree fits run as Spark jobs.
   */
 object AdaBoost {
 
-  /** Fit on a featurized training set (`features`, `label`); returns a
+  /** Fit on featurized training rows (features, label); returns a
     * local predictor that takes the sign of the alpha-weighted tree votes.
     */
-  def fit(train: DataFrame, rounds: Int, baseDepth: Int, seed: Long): Vector => Double = {
-    val rows = Features.rows(train)
+  def fit(rows: Seq[(Vector, Double)], rounds: Int, baseDepth: Int, seed: Long): Vector => Double = {
     val n = rows.length
     require(n > 0, "AdaBoost: empty training set")
-    val spark = train.sparkSession
+    val spark = SparkSession.active
     val w = Array.fill(n)(1.0 / n)
     val trees = ArrayBuffer.empty[(DecisionTreeClassificationModel, Double)]
 

@@ -1,84 +1,145 @@
 package repro.ml
 
-import org.apache.spark.ml.{Pipeline, PipelineModel, PipelineStage}
-import org.apache.spark.ml.feature._
-import org.apache.spark.ml.linalg.Vector
-import org.apache.spark.sql.DataFrame
-import org.apache.spark.sql.functions._
+import scala.collection.mutable.ArrayBuffer
+
+import org.apache.spark.ml.attribute.{Attribute, AttributeGroup, BinaryAttribute, NumericAttribute}
+import org.apache.spark.ml.feature.HashingTF
+import org.apache.spark.ml.linalg.{Vector, Vectors}
+import org.apache.spark.mllib.linalg.{Vectors => OldVectors}
+import org.apache.spark.mllib.stat.MultivariateOnlineSummarizer
+import org.apache.spark.sql.{DataFrame, Row, SparkSession}
+import org.apache.spark.sql.types.{DoubleType, StructField, StructType}
+import org.apache.spark.util.random.XORShiftRandomAccess
 
 import repro.data.DataSpec
+import repro.stats.Descriptive
 
 /** Feature preprocessing per paper §3.3: one-hot encoding for categorical
   * attributes, tf-idf for text attributes, standardization of numeric
   * attributes (mean 0 / variance 1), and majority-class downsampling for
-  * class-imbalanced datasets. The pipeline is fit on the training set of
-  * the experiment arm and applied to both sets.
+  * class-imbalanced datasets. The statistics are fit on the collected rows
+  * of an experiment arm's training set and applied to both sets, on the
+  * driver. Each step computes, bit for bit and on the same partitions, what
+  * Spark ML's standard scaler, string indexer and one-hot encoder (invalid
+  * values kept, no slot dropped), regex tokenizer, hashing TF (64 buckets)
+  * and idf, vector assembler and `sampleBy` compute; the tests keep that
+  * pipeline as their oracle.
   */
 object Features {
 
   val FeaturesCol = "features"
 
-  /** Build the (unfit) preprocessing pipeline for a dataset's schema. */
-  def pipeline(spec: DataSpec): Pipeline = {
-    val stages = scala.collection.mutable.ArrayBuffer.empty[PipelineStage]
-    val assembled = scala.collection.mutable.ArrayBuffer.empty[String]
-
-    if (spec.numeric.nonEmpty) {
-      stages += new VectorAssembler()
-        .setInputCols(spec.numeric.toArray)
-        .setOutputCol("__num_raw")
-      stages += new StandardScaler()
-        .setInputCol("__num_raw").setOutputCol("__num_scaled")
-        .setWithMean(true).setWithStd(true)
-      assembled += "__num_scaled"
-    }
-    if (spec.categorical.nonEmpty) {
-      val idxCols = spec.categorical.map(c => s"__${c}_idx").toArray
-      val ohCols  = spec.categorical.map(c => s"__${c}_oh").toArray
-      stages += new StringIndexer()
-        .setInputCols(spec.categorical.toArray).setOutputCols(idxCols)
-        .setHandleInvalid("keep")
-      stages += new OneHotEncoder()
-        .setInputCols(idxCols).setOutputCols(ohCols)
-        .setHandleInvalid("keep").setDropLast(false)
-      assembled ++= ohCols
-    }
-    spec.text.foreach { t =>
-      stages += new RegexTokenizer()
-        .setInputCol(t).setOutputCol(s"__${t}_tok").setPattern("\\W+")
-      stages += new HashingTF()
-        .setInputCol(s"__${t}_tok").setOutputCol(s"__${t}_tf").setNumFeatures(64)
-      stages += new IDF().setInputCol(s"__${t}_tf").setOutputCol(s"__${t}_idf")
-      assembled += s"__${t}_idf"
-    }
-    stages += new VectorAssembler()
-      .setInputCols(assembled.toArray).setOutputCol(FeaturesCol)
-    new Pipeline().setStages(stages.toArray)
+  /** A fitted featurizer: the feature vector of a raw row, read by column
+    * name, and the ML attributes of its slots (binary for one-hot slots,
+    * numeric otherwise), which the MLlib tree models read.
+    */
+  final class Featurizer(val attributes: AttributeGroup, vector: Row => Vector)
+      extends (Row => Vector) {
+    def apply(row: Row): Vector = vector(row)
   }
 
-  /** Fit the pipeline on `train` (anti-leakage: arm-local statistics). */
-  def fit(spec: DataSpec, train: DataFrame): PipelineModel =
-    pipeline(spec).fit(train)
-
-  /** The (features, label) pairs of a featurized frame, collected to the
-    * driver, where the models fit and score.
+  /** Featurized (features, label) training rows, split as the partitions
+    * of the frame they were collected from: Spark's scaler statistics,
+    * `sampleBy`'s draws and MLlib's bootstrap are per partition.
     */
-  def rows(featurized: DataFrame): Seq[(Vector, Double)] =
-    featurized.select(col(FeaturesCol), col("label")).collect().toSeq
-      .map(r => (r.getAs[Vector](0), r.getDouble(1)))
+  final case class Train(parts: Seq[Seq[(Vector, Double)]], attributes: AttributeGroup) {
+    def rows: Seq[(Vector, Double)] = parts.flatten
+
+    /** The frame (`features`, `label`) that the MLlib estimators fit on:
+      * the same partitions, with `attributes` on `features`.
+      */
+    def frame: DataFrame = {
+      val spark = SparkSession.active
+      val schema = StructType(Seq(attributes.toStructField(), StructField("label", DoubleType, nullable = false)))
+      val rdd = spark.sparkContext.parallelize(parts, parts.size).flatMap(_.map { case (v, l) => Row(v, l) })
+      spark.createDataFrame(rdd, schema)
+    }
+  }
+
+  private val tf = new HashingTF().setNumFeatures(64)
+
+  private def terms(text: String): Seq[String] = text.toLowerCase.split("\\W+").toSeq.filter(_.nonEmpty)
+
+  /** Fit on the partitions of an arm's training rows, which carry the
+    * spec's feature columns (anti-leakage: arm-local statistics). A null
+    * or NaN numeric cell fails, in training and in application alike.
+    */
+  def fit(spec: DataSpec, parts: Seq[Seq[Row]]): Featurizer = {
+    val rows = parts.flatten
+    def numeric(r: Row): Array[Double] = spec.numeric.toArray.map { c =>
+      val v = r.getAs[Any](c)
+      require(v != null && !v.asInstanceOf[Double].isNaN, s"${spec.name}: $c is null or NaN")
+      v.asInstanceOf[Double]
+    }
+    // Sample mean and variance, summarized per partition and merged in
+    // partition order, as Spark aggregates them.
+    val (mean, scale) =
+      if (spec.numeric.isEmpty) (Array.empty[Double], Array.empty[Double])
+      else {
+        val summary = parts.foldLeft(new MultivariateOnlineSummarizer()) { (merged, part) =>
+          val s = new MultivariateOnlineSummarizer()
+          part.foreach(r => s.add(OldVectors.dense(numeric(r))))
+          merged.merge(s)
+        }
+        (summary.mean.toArray,
+          summary.variance.toArray.map { v => val sd = math.sqrt(v); if (sd == 0) 0.0 else 1.0 / sd })
+      }
+
+    // Category index: frequency descending, ties alphabetical; nulls uncounted.
+    val categories: Seq[Map[String, Int]] = spec.categorical.map { c =>
+      Descriptive.counts(rows.flatMap(r => Option(r.getAs[String](c)))).toSeq
+        .sortWith((a, b) => if (a._2 == b._2) a._1 < b._1 else a._2 > b._2)
+        .map(_._1).zipWithIndex.toMap
+    }
+    // Per text column, the idf of each bucket over the documents.
+    val idf: Seq[Array[Double]] = spec.text.map { t =>
+      val docFreq = Descriptive.counts(rows.flatMap(r => terms(r.getAs[String](t)).map(tf.indexOf).distinct))
+      Array.tabulate(tf.getNumFeatures)(j => math.log((rows.size + 1.0) / (docFreq.getOrElse(j, 0L) + 1.0)))
+    }
+
+    // A categorical column takes one slot per category, one for an unseen
+    // or null value, and one that no value reaches.
+    val attributes: Array[Attribute] =
+      Array.fill[Attribute](mean.length)(NumericAttribute.defaultAttr) ++
+        categories.flatMap(m => Seq.fill[Attribute](m.size + 2)(BinaryAttribute.defaultAttr)) ++
+        idf.flatMap(w => Seq.fill[Attribute](w.length)(NumericAttribute.defaultAttr))
+
+    val featurize = (r: Row) => {
+      val slots = ArrayBuffer.empty[(Int, Double)]
+      val x = numeric(r)
+      x.indices.foreach(i => slots += i -> (x(i) - mean(i)) * scale(i))
+      var offset = x.length
+      spec.categorical.zip(categories).foreach { case (c, index) =>
+        slots += offset + Option(r.getAs[String](c)).flatMap(index.get).getOrElse(index.size) -> 1.0
+        offset += index.size + 2
+      }
+      spec.text.zip(idf).foreach { case (t, w) =>
+        Descriptive.counts(terms(r.getAs[String](t)).map(tf.indexOf)).toSeq.sorted.foreach { case (j, n) =>
+          slots += offset + j -> n * w(j)
+        }
+        offset += w.length
+      }
+      val nonzero = slots.filter(_._2 != 0.0)
+      Vectors.sparse(offset, nonzero.map(_._1).toArray, nonzero.map(_._2).toArray).compressed
+    }
+    new Featurizer(new AttributeGroup(FeaturesCol, attributes), featurize)
+  }
 
   /** Downsample the majority class in a training set so classes balance
-    * (paper §3.3 item 4); identity for balanced datasets.
+    * (paper §3.3 item 4); identity for balanced datasets. Row by row, in
+    * order, a row of partition i is kept when a draw of Spark's
+    * `XORShiftRandom(seed + i)` falls below its class's fraction, as
+    * `sampleBy` keeps it.
     */
-  def downsample(spec: DataSpec, train: DataFrame, seed: Long): DataFrame = {
-    if (!spec.imbalanced) return train
-    val counts = train.groupBy("label").count().collect()
-      .map(r => r.getDouble(0) -> r.getLong(1)).toMap
-    if (counts.size < 2) return train
+  def downsample(spec: DataSpec, parts: Seq[Seq[(Vector, Double)]], seed: Long): Seq[Seq[(Vector, Double)]] = {
+    if (!spec.imbalanced) return parts
+    val counts = Descriptive.counts(parts.flatten.map(_._2))
+    if (counts.size < 2) return parts
     val minCount = counts.values.min
-    val fractions = counts.map { case (l, n) =>
-      l -> math.min(1.0, minCount.toDouble / n)
+    val fractions = counts.map { case (l, n) => l -> math.min(1.0, minCount.toDouble / n) }
+    parts.zipWithIndex.map { case (part, i) =>
+      val rng = XORShiftRandomAccess(seed + i)
+      part.filter { case (_, l) => rng.nextDouble() < fractions(l) }
     }
-    train.stat.sampleBy("label", fractions, seed)
   }
 }

@@ -1,7 +1,6 @@
 package repro.ml
 
 import org.apache.spark.ml.linalg.Vector
-import org.apache.spark.sql.DataFrame
 
 import repro.stats.Descriptive
 
@@ -9,14 +8,14 @@ import repro.stats.Descriptive
   * (rather than via MLlib's multinomial NB) because standardized features
   * are negative and one-hot columns can be constant within a class —
   * handled here with scikit-learn-style variance smoothing
-  * (eps = 1e-9 · max variance). Fitting collects the training set and
-  * computes per-class priors, means and variances on the driver; the
-  * returned predictor closes over them.
+  * (eps = 1e-9 · max variance). Fitting computes per-class priors, means
+  * and variances of the training rows on the driver; the returned
+  * predictor closes over them.
   */
 object GaussianNB {
 
-  def fit(train: DataFrame): Vector => Double = {
-    val data = Features.rows(train).map { case (v, l) => (v.toArray, l) }
+  def fit(train: Seq[(Vector, Double)]): Vector => Double = {
+    val data = train.map { case (v, l) => (v.toArray, l) }
     require(data.nonEmpty, "GaussianNB: empty training set")
     val dim = data.head._1.length
     val byClass = data.groupBy(_._2)

@@ -1,22 +1,21 @@
 package repro.ml
 
 import org.apache.spark.ml.linalg.Vector
-import org.apache.spark.sql.DataFrame
 
 import repro.stats.Descriptive
 
 /** From-scratch k-nearest-neighbors classifier (paper §3.3; MLlib has no
-  * KNN). "Training" collects the (features, label) pairs to the driver;
-  * prediction is an exact Euclidean majority vote over that array. Suited to
+  * KNN). "Training" keeps the (features, label) rows as arrays; prediction
+  * is an exact Euclidean majority vote over them. Suited to
   * the benchmark's small per-dataset scale.
   */
 object KNN {
 
-  /** Fit on a featurized training set; returns a local predictor. Ties
+  /** Fit on featurized training rows; returns a local predictor. Ties
     * break toward the smaller label for determinism.
     */
-  def fit(train: DataFrame, k: Int): Vector => Double = {
-    val data = Features.rows(train).map { case (v, l) => (v.toArray, l) }
+  def fit(train: Seq[(Vector, Double)], k: Int): Vector => Double = {
+    val data = train.map { case (v, l) => (v.toArray, l) }
     require(data.nonEmpty, "KNN: empty training set")
     val kEff = math.min(k, data.length)
 

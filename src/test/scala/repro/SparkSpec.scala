@@ -14,6 +14,10 @@ import org.scalatest.funsuite.AnyFunSuite
 trait SparkSpec extends AnyFunSuite with BeforeAndAfterAll {
   lazy val spark: SparkSession = SparkSpec.shared
 
+  // Start the session before any test: code under test that fits MLlib
+  // models from driver rows finds it as `SparkSession.active`.
+  override def beforeAll(): Unit = { super.beforeAll(); spark }
+
   override def afterAll(): Unit = { super.afterAll() }
 }
 

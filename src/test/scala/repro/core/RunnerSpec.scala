@@ -11,7 +11,7 @@ import org.apache.spark.sql.DataFrame
 
 import repro.SparkSpec
 import repro.core.ErrorType._
-import repro.data.Datasets
+import repro.data.{BenchDataset, Datasets, DataSpec, Gen}
 
 /** Small end-to-end run of the full pipeline (one error type, two models,
   * few splits) — the full grid runs under bench/.
@@ -62,6 +62,29 @@ class RunnerSpec extends SparkSpec {
       Runner.measurements(spark, cfg.copy(splits = 1, models = Seq("naive_bayes")),
         Set(Inconsistencies), Seq(Datasets.byName("University")))
       assert(spark.conf.get(key) == "7")
+    } finally spark.conf.set(key, before)
+  }
+
+  test("measurements restores the caller's setting and releases its frames when a dataset fails to build") {
+    object Broken extends BenchDataset {
+      val spec = DataSpec(name = "Broken", rows = 10, numeric = Seq("x"), categorical = Nil,
+        errors = Set(Inconsistencies))
+      protected def genClean(rng: Gen.Rng): IndexedSeq[Gen.MRow] = sys.error("generator failed")
+      protected def inject(rows: IndexedSeq[Gen.MRow], error: ErrorType, variant: String,
+                           rng: Gen.Rng): IndexedSeq[Gen.MRow] = rows
+    }
+    val key = "spark.sql.shuffle.partitions"
+    val before = spark.conf.get(key)
+    val persisted = spark.sparkContext.getPersistentRDDs.keySet
+    spark.conf.set(key, "7")
+    try {
+      val e = intercept[RuntimeException] {
+        Runner.measurements(spark, cfg.copy(splits = 1, models = Seq("naive_bayes")),
+          Set(Inconsistencies), Seq(Datasets.byName("University"), Broken))
+      }
+      assert(e.getMessage == "generator failed")
+      assert(spark.conf.get(key) == "7")
+      assert(spark.sparkContext.getPersistentRDDs.keySet == persisted)
     } finally spark.conf.set(key, before)
   }
 

@@ -1,5 +1,7 @@
 package repro.core
 
+import org.apache.spark.sql.functions._
+
 import repro.SparkSpec
 import repro.data.Datasets
 
@@ -38,24 +40,38 @@ class SplitsSpec extends SparkSpec {
     assert(overlap > 0.5 && overlap < 0.9, s"overlap=$overlap")
   }
 
+  private def rids(df: org.apache.spark.sql.DataFrame): Seq[Long] =
+    df.select("rid").collect().map(_.getLong(0)).toSeq
+
   test("sub/val split is roughly 80/20, disjoint, deterministic") {
     val (tr, _) = Splits.trainTest(df, 0)
-    val (sub, valF) = Splits.subVal(tr, 17)
-    val frac = sub.count().toDouble / tr.count()
+    val rows = rids(tr)
+    val (sub, valF) = Splits.subVal(rows, 17)(identity)
+    val frac = sub.size.toDouble / rows.size
     assert(frac > 0.72 && frac < 0.88, s"sub frac=$frac")
-    assert(sub.join(valF, "rid").count() == 0)
-    assert(sub.count() + valF.count() == tr.count())
-    val (sub2, _) = Splits.subVal(tr, 17)
-    assert(sub.count() == sub2.count())
+    assert(sub.intersect(valF).isEmpty)
+    assert(sub.size + valF.size == rows.size)
+    val (sub2, _) = Splits.subVal(rows, 17)(identity)
+    assert(sub == sub2)
   }
 
   test("validation split is independent of the train/test hash") {
     // Same salt on different base sets still gives ~80/20.
     val (tr, te) = Splits.trainTest(df, 5)
-    val (s1, v1) = Splits.subVal(tr, 99)
-    val (s2, v2) = Splits.subVal(te, 99)
-    assert(v1.count() > 0 && v2.count() > 0)
-    assert(s1.count() > 3 * v1.count() / 2)
-    assert(s2.count() > 3 * v2.count() / 2)
+    val (s1, v1) = Splits.subVal(rids(tr), 99)(identity)
+    val (s2, v2) = Splits.subVal(rids(te), 99)(identity)
+    assert(v1.size > 0 && v2.size > 0)
+    assert(s1.size > 3 * v1.size / 2)
+    assert(s2.size > 3 * v2.size / 2)
+  }
+
+  test("the local bucket equals pmod(xxhash64(rid, salt, \"validation\"), 100)") {
+    for (salt <- Seq(17, 148, 279, -5)) {
+      val want = df.select(col("rid"),
+        pmod(xxhash64(col("rid"), lit(salt), lit("validation")), lit(100)).cast("int"))
+        .collect().map(r => r.getLong(0) -> r.getInt(1)).toSeq
+      val got = want.map { case (rid, _) => rid -> Splits.validationBucket(rid, salt) }
+      assert(got == want, s"salt $salt")
+    }
   }
 }

@@ -1,6 +1,7 @@
 package repro.ml
 
-import org.apache.spark.ml.linalg.Vector
+import org.apache.spark.ml.linalg.{Vector, Vectors}
+import org.apache.spark.sql.{DataFrame, Row}
 import org.apache.spark.sql.functions._
 
 import repro.SparkSpec
@@ -8,24 +9,24 @@ import repro.data.Datasets
 
 class FeaturesSpec extends SparkSpec {
 
+  private def rowsOf(df: DataFrame): Seq[Row] = df.collect().toSeq
+
+  private def labeled(f: Row => Vector, rows: Seq[Row]): Seq[(Vector, Double)] =
+    rows.map(r => (f(r), r.getAs[Double]("label")))
+
   test("pipeline produces a features vector for every dataset") {
     Datasets.all.foreach { ds =>
-      val df = ds.clean(spark)
-      val model = Features.fit(ds.spec, df)
-      val out = model.transform(df)
-      assert(out.columns.contains(Features.FeaturesCol), ds.spec.name)
-      val v = out.select(Features.FeaturesCol).head().getAs[Vector](0)
+      val rows = rowsOf(ds.clean(spark))
+      val v = Features.fit(ds.spec, Seq(rows))(rows.head)
       assert(v.size > 0, ds.spec.name)
     }
   }
 
   test("numeric features are standardized to ~zero mean, unit variance") {
     val ds = Datasets.byName("EEG")
-    val df = ds.clean(spark)
-    val model = Features.fit(ds.spec, df)
-    val vecs = model.transform(df).select(Features.FeaturesCol)
-      .collect().map(_.getAs[Vector](0).toArray)
-    val dim0 = vecs.map(_(0))
+    val rows = rowsOf(ds.clean(spark))
+    val featurize = Features.fit(ds.spec, Seq(rows))
+    val dim0 = rows.map(r => featurize(r)(0))
     val mean = dim0.sum / dim0.length
     val sd = math.sqrt(dim0.map(x => (x - mean) * (x - mean)).sum / (dim0.length - 1))
     assert(math.abs(mean) < 0.05, s"mean=$mean")
@@ -34,59 +35,80 @@ class FeaturesSpec extends SparkSpec {
 
   test("one-hot encoding: categorical dataset gets one slot per category") {
     val ds = Datasets.byName("Titanic")
-    val df = ds.clean(spark)
-    val model = Features.fit(ds.spec, df)
-    val dim = model.transform(df).select(Features.FeaturesCol).head()
-      .getAs[Vector](0).size
+    val rows = rowsOf(ds.clean(spark))
+    val dim = Features.fit(ds.spec, Seq(rows))(rows.head).size
     // 4 numeric + (2 sex + 3 pclass + 3 embarked) one-hot (+1 "keep" slot each).
     assert(dim >= 4 + 2 + 3 + 3, s"dim=$dim")
   }
 
   test("unseen test categories survive via handleInvalid=keep") {
-    import spark.implicits._
     val ds = Datasets.byName("Titanic")
     val train = ds.clean(spark)
-    val model = Features.fit(ds.spec, train)
-    val weird = train.withColumn("embarked", lit("nowhere"))
-    val out = model.transform(weird) // must not throw
-    assert(out.count() == train.count())
+    val featurize = Features.fit(ds.spec, Seq(rowsOf(train)))
+    val weird = rowsOf(train.withColumn("embarked", lit("nowhere")))
+    assert(weird.map(featurize).size == train.count()) // must not throw
   }
 
   test("text pipeline gives different vectors to different titles") {
     val ds = Datasets.byName("Citation")
-    val df = ds.clean(spark)
-    val model = Features.fit(ds.spec, df)
-    val out = model.transform(df).select("rid", Features.FeaturesCol).collect()
-    val distinct = out.map(_.getAs[Vector](1).toString).distinct
-    assert(distinct.length > out.length / 2)
+    val rows = rowsOf(ds.clean(spark))
+    val featurize = Features.fit(ds.spec, Seq(rows))
+    val distinct = rows.map(featurize(_).toString).distinct
+    assert(distinct.length > rows.length / 2)
   }
 
   test("downsample balances the imbalanced analogs") {
     val ds = Datasets.byName("Credit")
-    val df = ds.clean(spark)
-    val balanced = Features.downsample(ds.spec, df, seed = 1)
-    val counts = balanced.groupBy("label").count().collect()
-      .map(r => r.getDouble(0) -> r.getLong(1)).toMap
+    val rows = rowsOf(ds.clean(spark))
+    val train = labeled(Features.fit(ds.spec, Seq(rows)), rows)
+    val balanced = Features.downsample(ds.spec, Seq(train), seed = 1).flatten
+    val counts = balanced.groupBy(_._2).map { case (l, rs) => l -> rs.size }
     val ratio = counts.values.min.toDouble / counts.values.max
     assert(ratio > 0.7, s"ratio=$ratio counts=$counts")
-    assert(balanced.count() < df.count())
+    assert(balanced.size < train.size)
   }
 
   test("downsample is identity for balanced datasets") {
     val ds = Datasets.byName("EEG")
-    val df = ds.clean(spark)
-    assert(Features.downsample(ds.spec, df, 1).count() == df.count())
+    val rows = rowsOf(ds.clean(spark))
+    val train = labeled(Features.fit(ds.spec, Seq(rows)), rows)
+    assert(Features.downsample(ds.spec, Seq(train), 1) == Seq(train))
   }
 
   test("pipeline statistics are arm-local: scaling differs with corrupted train") {
     val ds = Datasets.byName("EEG")
     val clean = ds.clean(spark)
     val corrupted = clean.withColumn("f1", col("f1") * 100)
-    val mClean = Features.fit(ds.spec, clean)
-    val mCorr  = Features.fit(ds.spec, corrupted)
-    val probe = clean.limit(5)
-    val a = mClean.transform(probe).select(Features.FeaturesCol).head().getAs[Vector](0)(0)
-    val b = mCorr.transform(probe).select(Features.FeaturesCol).head().getAs[Vector](0)(0)
+    val fClean = Features.fit(ds.spec, Seq(rowsOf(clean)))
+    val fCorr  = Features.fit(ds.spec, Seq(rowsOf(corrupted)))
+    val probe = rowsOf(clean.limit(5)).head
+    val a = fClean(probe)(0)
+    val b = fCorr(probe)(0)
     assert(math.abs(a) > math.abs(b) * 10, s"a=$a b=$b")
+  }
+
+  test("a null numeric cell fails, as the assembler's handleInvalid=error does") {
+    val ds = Datasets.byName("EEG")
+    val clean = ds.clean(spark)
+    val featurize = Features.fit(ds.spec, Seq(rowsOf(clean)))
+    val withNull = rowsOf(clean.withColumn("f1", lit(null).cast("double")).limit(1))
+    intercept[IllegalArgumentException](featurize(withNull.head))
+    intercept[IllegalArgumentException](Features.fit(ds.spec, Seq(withNull)))
+  }
+
+  test("local downsample equals sampleBy on a one-partition frame, for Credit and KDD, seeds 0-3") {
+    // And on a two-partition frame, whose second partition draws from seed + 1.
+    for (name <- Seq("Credit", "KDD"); seed <- 0L to 3L; numParts <- Seq(1, 2)) {
+      val ds = Datasets.byName(name)
+      val rows = ds.clean(spark).select("rid", "label").collect().toSeq
+      val df = spark.createDataFrame(spark.sparkContext.parallelize(rows, numParts), rows.head.schema)
+      val want = FeaturesReference.downsample(ds.spec, df, seed).rdd.glom().collect().toSeq
+        .map(_.toSeq.map(r => (r.getLong(0), r.getDouble(1))))
+      val parts = df.rdd.glom().collect().toSeq
+        .map(_.toSeq.map(r => (Vectors.dense(r.getLong(0).toDouble), r.getDouble(1))))
+      val got = Features.downsample(ds.spec, parts, seed).map(_.map { case (v, l) => (v(0).toLong, l) })
+      assert(got == want, s"$name seed $seed, $numParts partitions")
+      assert(got.flatten.size < rows.size, s"$name seed $seed")
+    }
   }
 }

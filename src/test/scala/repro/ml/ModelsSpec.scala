@@ -22,19 +22,19 @@ class ModelsSpec extends SparkSpec {
   }
 
   test("every model reaches >85% accuracy on separable blobs") {
-    val train = MLTestData.blobs(spark, n = 200, seed = 30)
-    val test  = MLTestData.blobs(spark, n = 80, seed = 31)
+    val train = MLTestData.blobs(n = 200, seed = 30)
+    val test  = MLTestData.blobs(n = 80, seed = 31)
     Models.all.foreach { m =>
-      val predict = m.fit(train, m.defaults, seed = 7)
+      val predict = m.fit(MLTestData.train(train), m.defaults, seed = 7)
       val acc = Evaluate.accuracy(MLTestData.scored(predict, test))
       assert(acc > 0.85, s"${m.name}: acc=$acc")
     }
   }
 
   test("every model emits binary predictions") {
-    val train = MLTestData.blobs(spark, n = 100, seed = 32)
+    val train = MLTestData.blobs(n = 100, seed = 32)
     Models.all.foreach { m =>
-      val preds = MLTestData.scored(m.fit(train, m.defaults, seed = 7), train).map(_._2).toSet
+      val preds = MLTestData.scored(m.fit(MLTestData.train(train), m.defaults, seed = 7), train).map(_._2).toSet
       assert(preds.subsetOf(Set(0.0, 1.0)), m.name)
     }
   }
@@ -57,11 +57,11 @@ class ModelsSpec extends SparkSpec {
   }
 
   test("tree-family models fit XOR; logistic regression cannot") {
-    val train = MLTestData.xor(spark, n = 240, seed = 33)
-    val test  = MLTestData.xor(spark, n = 120, seed = 34)
+    val train = MLTestData.xor(n = 240, seed = 33)
+    val test  = MLTestData.xor(n = 120, seed = 34)
     def acc(name: String): Double = {
       val m = Models.byName(name)
-      Evaluate.accuracy(MLTestData.scored(m.fit(train, m.defaults, 7), test))
+      Evaluate.accuracy(MLTestData.scored(m.fit(MLTestData.train(train), m.defaults, 7), test))
     }
     assert(acc("decision_tree") > 0.9)
     assert(acc("random_forest") > 0.9)
@@ -71,11 +71,12 @@ class ModelsSpec extends SparkSpec {
 
   test("MLlib adapters: predict(v) equals the prediction column of transform") {
     // Overlapping blobs, so that many points sit near each decision boundary.
-    val train = MLTestData.blobs(spark, n = 200, sep = 0.4, seed = 35)
-    val test  = MLTestData.blobs(spark, n = 150, sep = 0.4, seed = 36)
+    val trainRows = MLTestData.train(MLTestData.blobs(n = 200, sep = 0.4, seed = 35))
+    val train = trainRows.frame
+    val test  = MLTestData.train(MLTestData.blobs(n = 150, sep = 0.4, seed = 36)).frame
     def agree(name: String, model: Transformer): Unit = {
       val m = Models.byName(name)
-      val predict = m.fit(train, m.defaults, seed = 7)
+      val predict = m.fit(trainRows, m.defaults, seed = 7)
       val rows = model.transform(test).select(Features.FeaturesCol, "prediction").collect()
       rows.foreach(r => assert(predict(r.getAs[Vector](0)) == r.getDouble(1), name))
     }
