@@ -2,7 +2,7 @@ package repro.jobs
 
 import org.apache.spark.sql.SparkSession
 
-import repro.core.{ErrorType, Runner, RunConfig, Walkthrough}
+import repro.core.{ErrorType, Runner, RunConfig, Session, Walkthrough}
 
 /** spark-submit (or `sbt "jobs/runMain repro.jobs.Main ..."`) entry point,
   * one command per group of paper tables, plus the behaviour gate:
@@ -48,13 +48,7 @@ object Main {
         }
       case _ => sys.error(Usage)
     }
-    val spark = SparkSession.builder()
-      .master(sys.env.getOrElse("SPARK_MASTER", "local[*]"))
-      .appName(s"cleanml-${args(0)}")
-      .config("spark.sql.shuffle.partitions", sys.env.getOrElse("SPARK_SHUFFLE_PARTITIONS", "8"))
-      .config("spark.sql.autoBroadcastJoinThreshold", -1)
-      .config("spark.ui.enabled", false)
-      .getOrCreate()
+    val spark = Session.build(s"cleanml-${args(0)}")
     try table(spark) finally spark.stop()
   }
 }

@@ -1,7 +1,6 @@
 package repro.clean
 
 import org.apache.spark.sql.DataFrame
-import org.apache.spark.sql.expressions.Window
 import org.apache.spark.sql.functions._
 
 import repro.core.Method
@@ -15,12 +14,15 @@ import repro.data.DataSpec
 object Duplicates extends Cleaner {
   val method = Method("key_collision", "delete")
 
+  /** The frame's (key, rid) pairs are collected once; the smallest rid of
+    * each key, a null key being one group, is kept by a filter. With no
+    * shuffle, the output keeps its input's partitions and row order.
+    */
   def dedup(spec: DataSpec, df: DataFrame): DataFrame = {
     val key = spec.keyCol.getOrElse(sys.error(s"${spec.name} has no key column"))
-    val w   = Window.partitionBy(col(key)).orderBy(col("rid"))
-    df.withColumn("__rn", row_number().over(w))
-      .filter(col("__rn") === 1)
-      .drop("__rn")
+    val firsts = df.select(col(key), col("rid")).collect().toSeq
+      .groupMapReduce(_.get(0))(_.getLong(1))(math.min)
+    df.filter(col("rid").isInCollection(firsts.values))
   }
 
   def clean(spec: DataSpec, train: DataFrame, test: DataFrame): (DataFrame, DataFrame) =

@@ -43,21 +43,19 @@ object Experiment {
           .map(r => (featurize(r), r.getAs[Double]("label"))))
   }
 
-  /** Build a training arm from raw training rows, collected by partition in
-    * one job; the featurizing, the sub-train/validation split and the
-    * downsampling run on the driver. `cached` is unused: an arm caches no
-    * frame.
+  /** Build a training arm from raw training rows, collected in one job; the
+    * featurizing, the sub-train/validation split and the downsampling run
+    * on the driver. `cached` is unused: an arm caches no frame.
     */
   def buildArm(spec: DataSpec, trainRaw: DataFrame, split: Int,
                cached: ArrayBuffer[DataFrame]): Arm = {
-    val parts = trainRaw.select(("rid" +: spec.featureCols :+ "label").map(col): _*)
-      .rdd.glom().collect().toSeq.map(_.toSeq)
-    val featurize = Features.fit(spec, parts)
+    val rows = trainRaw.select(("rid" +: spec.featureCols :+ "label").map(col): _*).collect().toSeq
+    val featurize = Features.fit(spec, rows)
     def labeled(rs: Seq[Row]) = rs.map(r => (featurize(r), r.getAs[Double]("label")))
-    val (sub0, valFold) = parts.map(Splits.subVal(_, salt = split * 131 + 17)(_.getAs[Long]("rid"))).unzip
-    val sub = Features.downsample(spec, sub0.map(labeled), seed = split.toLong)
-    Arm(spec, featurize, Features.Train(sub, featurize.attributes), labeled(valFold.flatten),
-      Descriptive.counts(sub.flatten.map(_._2)))
+    val (sub0, valFold) = Splits.subVal(rows, salt = split * 131 + 17)(_.getAs[Long]("rid"))
+    val sub = Features.downsample(spec, labeled(sub0), seed = split.toLong)
+    Arm(spec, featurize, Features.Train(sub, featurize.attributes), labeled(valFold),
+      Descriptive.counts(sub.map(_._2)))
   }
 
   private def score(predict: Vector => Double, rows: Seq[(Vector, Double)], metric: String): Double =
@@ -109,51 +107,37 @@ object Experiment {
     val spec   = ds.spec
     val dsName = ds.relName(error, variant)
     val metric = spec.metric
-    val cached = ArrayBuffer.empty[DataFrame]
     val out    = ArrayBuffer.empty[Measurement]
-    try {
-      val (trainRaw0, testRaw0) = Splits.trainTest(full, split)
-      val trainRaw = trainRaw0.cache(); val testRaw = testRaw0.cache()
-      cached += trainRaw; cached += testRaw
-      trainRaw.count(); testRaw.count()
-      val models = cfg.models.map(Models.byName)
-      val cleaners = CleaningMethods.forError(error).filter(c =>
-        cfg.methodFilter.forall(_.contains((c.method.detect, c.method.repair))))
+    val (trainRaw, testRaw) = Splits.trainTest(full, split)
+    val models = cfg.models.map(Models.byName)
+    val cleaners = CleaningMethods.forError(error).filter(c =>
+      cfg.methodFilter.forall(_.contains((c.method.detect, c.method.repair))))
 
-      // Table 5 semantics: for missing values the baseline B is
-      // deletion-trained; otherwise it is trained on the raw (dirty) set.
-      val baseTrain =
-        if (error != MissingValues) trainRaw
-        else repro.clean.MissingValues.Deletion.clean(spec, trainRaw, testRaw)._1
-      val armB = buildArm(spec, baseTrain, split, cached)
-      val arms = cleaners.map { c =>
-        val (trC0, teC) = c.clean(spec, trainRaw, testRaw)
-        // Cache the cleaned sets: the cleaning transforms (iforest UDFs,
-        // per-cell repairs) are expensive to recompute, and two arms collect
-        // the test set. A cached shuffle output (deduplication) keeps the
-        // shuffle's partitions, which the arm's statistics and fits follow.
-        val trC = trC0.cache(); cached += trC
-        val teCached = teC.cache(); cached += teCached
-        (c.method, buildArm(spec, trC, split, cached), teCached)
-      }
-      for (m <- models; seed <- 0 until cfg.seeds) {
-        val fB = fitModel(armB, m, metric, split, seed, cfg)
-        arms.foreach { case (method, armD, teC) =>
-          val fD = fitModel(armD, m, metric, split, seed, cfg)
-          val dOnCleanTest = evalOn(fD, teC, metric)
-          Specs.scenariosFor(error).foreach { sc =>
-            val (valB, testB) = sc match {
-              case Scenario.BD => (fB.valScore, evalOn(fB, teC, metric))
-              case Scenario.CD => (fD.valScore, evalOn(fD, testRaw, metric))
-            }
-            out += Measurement(dsName, error.name, method.detect, method.repair,
-              sc.name, m.name, split, seed, valB, testB, fD.valScore, dOnCleanTest)
+    // Table 5 semantics: for missing values the baseline B is
+    // deletion-trained; otherwise it is trained on the raw (dirty) set.
+    val baseTrain =
+      if (error != MissingValues) trainRaw
+      else repro.clean.MissingValues.Deletion.clean(spec, trainRaw, testRaw)._1
+    val armB = buildArm(spec, baseTrain, split, ArrayBuffer.empty)
+    val arms = cleaners.map { c =>
+      val (trC, teC) = c.clean(spec, trainRaw, testRaw)
+      (c.method, buildArm(spec, trC, split, ArrayBuffer.empty), teC)
+    }
+    for (m <- models; seed <- 0 until cfg.seeds) {
+      val fB = fitModel(armB, m, metric, split, seed, cfg)
+      arms.foreach { case (method, armD, teC) =>
+        val fD = fitModel(armD, m, metric, split, seed, cfg)
+        val dOnCleanTest = evalOn(fD, teC, metric)
+        Specs.scenariosFor(error).foreach { sc =>
+          val (valB, testB) = sc match {
+            case Scenario.BD => (fB.valScore, evalOn(fB, teC, metric))
+            case Scenario.CD => (fD.valScore, evalOn(fD, testRaw, metric))
           }
+          out += Measurement(dsName, error.name, method.detect, method.repair,
+            sc.name, m.name, split, seed, valB, testB, fD.valScore, dOnCleanTest)
         }
       }
-      out.toSeq
-    } finally {
-      cached.foreach(_.unpersist(blocking = false))
     }
+    out.toSeq
   }
 }

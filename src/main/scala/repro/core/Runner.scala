@@ -2,8 +2,6 @@ package repro.core
 
 import java.util.concurrent.{Callable, ExecutionException, Executors, TimeUnit}
 
-import scala.collection.mutable.ArrayBuffer
-
 import org.apache.spark.sql.{DataFrame, SparkSession}
 
 import repro.data.{BenchDataset, Datasets}
@@ -18,8 +16,6 @@ object Runner {
 
   final case class BenchmarkRelations(measurements: DataFrame, r1: DataFrame,
                                       r2: DataFrame, r3: DataFrame)
-
-  private val ShufflePartitions = "spark.sql.shuffle.partitions"
 
   /** Run `tasks` on a fixed pool of at most `threads` threads made for this
     * call, and return their results in order. The pool's threads are
@@ -48,27 +44,12 @@ object Runner {
   def measurements(spark: SparkSession, cfg: RunConfig,
                    errors: Set[ErrorType],
                    datasets: Seq[BenchDataset] = Datasets.all): DataFrame = {
-    // Tiny per-dataset frames: low shuffle parallelism is much faster.
-    // The caller's value is restored, and every cached frame released, on
-    // the way out, also when a dataset fails to build.
-    val callerPartitions = spark.conf.get(ShufflePartitions)
-    val fulls = ArrayBuffer.empty[((BenchDataset, ErrorType, String), DataFrame)]
-    try {
-      spark.conf.set(ShufflePartitions, "2")
-      for (cell @ (ds, e, v) <- Specs.cells(errors, datasets)) {
-        val df = ds.dirty(spark, e, v).cache()
-        fulls += cell -> df
-        df.count()
-      }
-      val rows = concurrently(cfg.parallelism)(
-        for (((ds, e, v), full) <- fulls.toSeq; split <- 0 until cfg.splits)
-          yield () => Experiment.runCell(ds, e, v, full, split, cfg)).flatten
-      import spark.implicits._
-      rows.toDF()
-    } finally {
-      fulls.foreach(_._2.unpersist(blocking = false))
-      spark.conf.set(ShufflePartitions, callerPartitions)
-    }
+    val rows = concurrently(cfg.parallelism)(
+      for ((ds, e, v) <- Specs.cells(errors, datasets); full = ds.dirty(spark, e, v);
+           split <- 0 until cfg.splits)
+        yield () => Experiment.runCell(ds, e, v, full, split, cfg)).flatten
+    import spark.implicits._
+    rows.toDF()
   }
 
   /** Full pipeline: measurements -> flagged relations. */

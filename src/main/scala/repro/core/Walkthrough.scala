@@ -23,7 +23,7 @@ object Walkthrough {
   /** Tables 6–9: one split, all models and methods, seeds = 1. */
   def tables6to9(spark: SparkSession): Unit = {
     val cfg  = RunConfig(splits = 1, seeds = 1)
-    val full = eeg.dirty(spark, ErrorType.Outliers).cache()
+    val full = eeg.dirty(spark, ErrorType.Outliers)
     val rows = Experiment.runCell(eeg, ErrorType.Outliers, "", full, 0, cfg)
     import spark.implicits._
     val meas = rows.toDF().filter($"scenario" === "BD").cache()
@@ -64,14 +64,14 @@ object Walkthrough {
     }
     val s3 = Relations.r3Pairs(r2).head()
     println(s"  Metric pair: (${fmt(s3.getAs[Double]("b"))}, ${fmt(s3.getAs[Double]("d"))})")
-    meas.unpersist(); r2.unpersist(); full.unpersist()
+    meas.unpersist(); r2.unpersist()
   }
 
   /** Tables 10–11: five random-search seeds at searchK = 2. */
   def tables10to11(spark: SparkSession): Unit = {
     val cfg = RunConfig(splits = 1, seeds = 5, searchK = 2,
       methodFilter = Some(Set((S1Detect, S1Repair))))
-    val full = eeg.dirty(spark, ErrorType.Outliers).cache()
+    val full = eeg.dirty(spark, ErrorType.Outliers)
     val rows = Experiment.runCell(eeg, ErrorType.Outliers, "", full, 0, cfg)
     import spark.implicits._
     val meas = rows.toDF().filter($"scenario" === "BD").cache()
@@ -94,7 +94,7 @@ object Walkthrough {
     }
     val s2agg = Relations.r2Pairs(meas).head()
     println(s"  Selected pair: (${fmt(s2agg.getAs[Double]("b"))}, ${fmt(s2agg.getAs[Double]("d"))})")
-    meas.unpersist(); full.unpersist()
+    meas.unpersist()
   }
 
   /** Tables 12–14: 20 splits for s1, t-tests and BY-corrected flag.
@@ -104,10 +104,9 @@ object Walkthrough {
                    splits: Int = 20): (Seq[(Double, Double)], TTestResultView) = {
     val cfg = RunConfig(splits = splits, seeds = 1,
       models = Seq(S1Model), methodFilter = Some(Set((S1Detect, S1Repair))))
-    val full = eeg.dirty(spark, ErrorType.Outliers).cache()
+    val full = eeg.dirty(spark, ErrorType.Outliers)
     val rows = (0 until splits).flatMap(s =>
       Experiment.runCell(eeg, ErrorType.Outliers, "", full, s, cfg))
-    full.unpersist()
     import spark.implicits._
     val pairs = Relations.r1Pairs(rows.toDF().filter($"scenario" === "BD"))
       .orderBy("split")

@@ -88,7 +88,9 @@ object Gen {
     val data  = rows.map(m => Row.fromSeq(order.map(c => m.getOrElse(c, null))))
     // Single partition: these frames are <= ~2000 rows, and one task per
     // job beats scheduler overhead; grid concurrency comes from running
-    // many cells at once on the driver.
+    // many cells at once on the driver. Results rest on it too: no step
+    // of a cell repartitions, so every arm is this one partition's rows in
+    // order (DESIGN.md §6).
     spark.createDataFrame(
       spark.sparkContext.parallelize(data, numSlices = 1), spec.schema)
   }

@@ -19,11 +19,11 @@ import repro.stats.Descriptive
   * attributes (mean 0 / variance 1), and majority-class downsampling for
   * class-imbalanced datasets. The statistics are fit on the collected rows
   * of an experiment arm's training set and applied to both sets, on the
-  * driver. Each step computes, bit for bit and on the same partitions, what
-  * Spark ML's standard scaler, string indexer and one-hot encoder (invalid
-  * values kept, no slot dropped), regex tokenizer, hashing TF (64 buckets)
-  * and idf, vector assembler and `sampleBy` compute; the tests keep that
-  * pipeline as their oracle.
+  * driver. Each step computes, bit for bit, what Spark ML's standard
+  * scaler, string indexer and one-hot encoder (invalid values kept, no slot
+  * dropped), regex tokenizer, hashing TF (64 buckets) and idf, vector
+  * assembler and `sampleBy` compute on a one-partition frame; the tests
+  * keep that pipeline as their oracle.
   */
 object Features {
 
@@ -38,21 +38,18 @@ object Features {
     def apply(row: Row): Vector = vector(row)
   }
 
-  /** Featurized (features, label) training rows, split as the partitions
-    * of the frame they were collected from: Spark's scaler statistics,
-    * `sampleBy`'s draws and MLlib's bootstrap are per partition.
+  /** Featurized (features, label) training rows and their slots' ML
+    * attributes.
     */
-  final case class Train(parts: Seq[Seq[(Vector, Double)]], attributes: AttributeGroup) {
-    def rows: Seq[(Vector, Double)] = parts.flatten
+  final case class Train(rows: Seq[(Vector, Double)], attributes: AttributeGroup) {
 
     /** The frame (`features`, `label`) that the MLlib estimators fit on:
-      * the same partitions, with `attributes` on `features`.
+      * the rows as one partition, in order, with `attributes` on `features`.
       */
     def frame: DataFrame = {
       val spark = SparkSession.active
       val schema = StructType(Seq(attributes.toStructField(), StructField("label", DoubleType, nullable = false)))
-      val rdd = spark.sparkContext.parallelize(parts, parts.size).flatMap(_.map { case (v, l) => Row(v, l) })
-      spark.createDataFrame(rdd, schema)
+      spark.createDataFrame(spark.sparkContext.parallelize(rows.map { case (v, l) => Row(v, l) }, 1), schema)
     }
   }
 
@@ -60,27 +57,23 @@ object Features {
 
   private def terms(text: String): Seq[String] = text.toLowerCase.split("\\W+").toSeq.filter(_.nonEmpty)
 
-  /** Fit on the partitions of an arm's training rows, which carry the
-    * spec's feature columns (anti-leakage: arm-local statistics). A null
-    * or NaN numeric cell fails, in training and in application alike.
+  /** Fit on an arm's training rows, which carry the spec's feature columns
+    * (anti-leakage: arm-local statistics). A null or NaN numeric cell
+    * fails, in training and in application alike.
     */
-  def fit(spec: DataSpec, parts: Seq[Seq[Row]]): Featurizer = {
-    val rows = parts.flatten
+  def fit(spec: DataSpec, rows: Seq[Row]): Featurizer = {
     def numeric(r: Row): Array[Double] = spec.numeric.toArray.map { c =>
       val v = r.getAs[Any](c)
       require(v != null && !v.asInstanceOf[Double].isNaN, s"${spec.name}: $c is null or NaN")
       v.asInstanceOf[Double]
     }
-    // Sample mean and variance, summarized per partition and merged in
-    // partition order, as Spark aggregates them.
+    // Sample mean and variance, summarized in row order, as Spark
+    // aggregates one partition.
     val (mean, scale) =
       if (spec.numeric.isEmpty) (Array.empty[Double], Array.empty[Double])
       else {
-        val summary = parts.foldLeft(new MultivariateOnlineSummarizer()) { (merged, part) =>
-          val s = new MultivariateOnlineSummarizer()
-          part.foreach(r => s.add(OldVectors.dense(numeric(r))))
-          merged.merge(s)
-        }
+        val summary = new MultivariateOnlineSummarizer()
+        rows.foreach(r => summary.add(OldVectors.dense(numeric(r))))
         (summary.mean.toArray,
           summary.variance.toArray.map { v => val sd = math.sqrt(v); if (sd == 0) 0.0 else 1.0 / sd })
       }
@@ -127,19 +120,17 @@ object Features {
 
   /** Downsample the majority class in a training set so classes balance
     * (paper §3.3 item 4); identity for balanced datasets. Row by row, in
-    * order, a row of partition i is kept when a draw of Spark's
-    * `XORShiftRandom(seed + i)` falls below its class's fraction, as
-    * `sampleBy` keeps it.
+    * order, a row is kept when a draw of Spark's `XORShiftRandom(seed)`
+    * falls below its class's fraction, as `sampleBy` keeps a row of a
+    * one-partition frame.
     */
-  def downsample(spec: DataSpec, parts: Seq[Seq[(Vector, Double)]], seed: Long): Seq[Seq[(Vector, Double)]] = {
-    if (!spec.imbalanced) return parts
-    val counts = Descriptive.counts(parts.flatten.map(_._2))
-    if (counts.size < 2) return parts
+  def downsample(spec: DataSpec, rows: Seq[(Vector, Double)], seed: Long): Seq[(Vector, Double)] = {
+    if (!spec.imbalanced) return rows
+    val counts = Descriptive.counts(rows.map(_._2))
+    if (counts.size < 2) return rows
     val minCount = counts.values.min
     val fractions = counts.map { case (l, n) => l -> math.min(1.0, minCount.toDouble / n) }
-    parts.zipWithIndex.map { case (part, i) =>
-      val rng = XORShiftRandomAccess(seed + i)
-      part.filter { case (_, l) => rng.nextDouble() < fractions(l) }
-    }
+    val rng = XORShiftRandomAccess(seed)
+    rows.filter { case (_, l) => rng.nextDouble() < fractions(l) }
   }
 }

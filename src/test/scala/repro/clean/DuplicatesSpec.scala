@@ -30,6 +30,21 @@ class DuplicatesSpec extends SparkSpec {
       "t" -> dirty)
   }
 
+  test("dedup keeps one record for all null keys, as a window partition does — oracle-checked") {
+    val s = spark
+    import s.implicits._
+    val keyed = Seq((4L, Some("a")), (2L, None), (1L, Some("a")), (5L, None), (3L, Some("b")))
+      .toDF("rid", "title_key")
+    val out = Duplicates.dedup(ds.spec, keyed)
+    assert(out.select("rid").as[Long].collect().toSeq == Seq(2L, 1L, 3L))
+    Oracle.assertEquivalent(
+      out.select("rid"),
+      """SELECT rid FROM (
+        |  SELECT rid, ROW_NUMBER() OVER (PARTITION BY title_key ORDER BY rid) AS rn
+        |  FROM t) WHERE rn = 1""".stripMargin,
+      "t" -> keyed)
+  }
+
   test("cleaning is idempotent") {
     val once  = Duplicates.dedup(ds.spec, dirty)
     val twice = Duplicates.dedup(ds.spec, once)

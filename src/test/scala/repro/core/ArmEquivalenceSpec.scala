@@ -7,7 +7,6 @@ import scala.concurrent.{Await, ExecutionContext, Future}
 import scala.concurrent.duration.Duration
 
 import org.apache.spark.ml.attribute.AttributeGroup
-import org.apache.spark.ml.linalg.Vector
 import org.apache.spark.sql.DataFrame
 import org.apache.spark.sql.functions._
 
@@ -21,8 +20,8 @@ import repro.ml.{Features, FeaturesReference}
   * arm of the Spark ML pipeline, the DataFrame sub-train/validation split
   * and `sampleBy` (`FeaturesReference`), for every dataset and error type at
   * split 0, over the dirty (for missing values, deletion-trained) arm and
-  * every cleaned arm. The sub-train, and the frame the MLlib fits see, are
-  * compared partition by partition.
+  * every cleaned arm. The frame the MLlib fits see holds the sub-train rows
+  * as one partition.
   */
 class ArmEquivalenceSpec extends SparkSpec {
 
@@ -38,11 +37,6 @@ class ArmEquivalenceSpec extends SparkSpec {
         .when(col("rid") % 3 === 1, lit(null).cast("string")).otherwise(col(c)))
     }
 
-  /** The (features, label) rows of a frame, partition by partition. */
-  private def partitions(df: DataFrame): Seq[Seq[(Vector, Double)]] =
-    df.select(Features.FeaturesCol, "label").rdd.glom().collect().toSeq
-      .map(_.toSeq.map(r => (r.getAs[Vector](0), r.getDouble(1))))
-
   /** Assert the local arm of `train` equals the reference arm, and that
     * both featurize `test` alike, and `test` with unseen and null
     * categories.
@@ -55,9 +49,10 @@ class ArmEquivalenceSpec extends SparkSpec {
         val refTrain = ref.pipeline.transform(train)
         val featurized = train.collect().toSeq.map(r => (arm.featurize(r), r.getAs[Double]("label")))
         assert(featurized == FeaturesReference.rows(refTrain))
-        val refParts = partitions(ref.sub)
-        assert(arm.sub.parts == refParts)
-        assert(partitions(arm.sub.frame) == refParts)
+        val refSub = FeaturesReference.rows(ref.sub)
+        assert(arm.sub.rows == refSub)
+        assert(arm.sub.frame.rdd.getNumPartitions == 1)
+        assert(FeaturesReference.rows(arm.sub.frame) == refSub)
         assert(arm.valRows == ref.valRows)
         assert(arm.classCounts == ref.classCounts)
         val tests = if (spec.categorical.isEmpty) Seq(test) else Seq(test, unseenAndNull(spec, test))
@@ -70,27 +65,17 @@ class ArmEquivalenceSpec extends SparkSpec {
 
   private def check(ds: BenchDataset, error: ErrorType, variant: String): Unit = {
     val spec = ds.spec
-    val (train0, test0) = Splits.trainTest(ds.dirty(spark, error, variant), 0)
-    val train = train0.cache(); val test = test0.cache()
-    try {
-      // Cached as runCell caches them: a deduplicated train keeps its
-      // shuffle partitions.
-      val cleaned = CleaningMethods.forError(error).map { c =>
-        val (trC, teC) = c.clean(spec, train, test)
-        (c.method, trC.cache(), teC.cache())
-      }
-      try {
-        if (error == MissingValues) {
-          val deletion = repro.clean.MissingValues.Deletion.clean(spec, train, test)._1
-          assertSameArm(spec, deletion, cleaned.head._3, s"${spec.name}/${error.name} deletion")
-        } else {
-          assertSameArm(spec, train, test, s"${spec.name}/${error.name}$variant dirty")
-        }
-        cleaned.foreach { case (m, trC, teC) =>
-          assertSameArm(spec, trC, teC, s"${spec.name}/${error.name}$variant ${m.detect}/${m.repair}")
-        }
-      } finally cleaned.foreach { case (_, trC, teC) => trC.unpersist(); teC.unpersist() }
-    } finally { train.unpersist(); test.unpersist() }
+    val (train, test) = Splits.trainTest(ds.dirty(spark, error, variant), 0)
+    val cleaned = CleaningMethods.forError(error).map(c => (c.method, c.clean(spec, train, test)))
+    if (error == MissingValues) {
+      val deletion = repro.clean.MissingValues.Deletion.clean(spec, train, test)._1
+      assertSameArm(spec, deletion, cleaned.head._2._2, s"${spec.name}/${error.name} deletion")
+    } else {
+      assertSameArm(spec, train, test, s"${spec.name}/${error.name}$variant dirty")
+    }
+    cleaned.foreach { case (m, (trC, teC)) =>
+      assertSameArm(spec, trC, teC, s"${spec.name}/${error.name}$variant ${m.detect}/${m.repair}")
+    }
   }
 
   /** Run `checks` on four threads, and rethrow the first failure after all

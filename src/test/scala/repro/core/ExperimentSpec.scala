@@ -1,5 +1,7 @@
 package repro.core
 
+import scala.collection.mutable.ArrayBuffer
+
 import org.apache.spark.sql.functions._
 
 import repro.SparkSpec
@@ -59,8 +61,7 @@ class ExperimentSpec extends SparkSpec {
     assert(rows.forall(_.scenario == "BD"))
     val (train, test) = Splits.trainTest(titanicMV, 0)
     val (delTrain, _) = repro.clean.MissingValues.Deletion.clean(titanic.spec, train, test)
-    val cached = scala.collection.mutable.ArrayBuffer.empty[org.apache.spark.sql.DataFrame]
-    val arm = Experiment.buildArm(titanic.spec, delTrain, 0, cached)
+    val arm = Experiment.buildArm(titanic.spec, delTrain, 0, ArrayBuffer.empty)
     for (m <- fastCfg.models; seed <- 0 until fastCfg.seeds) {
       val valB = Experiment.fitModel(arm, repro.ml.Models.byName(m), titanic.spec.metric,
         0, seed, fastCfg).valScore
@@ -68,7 +69,6 @@ class ExperimentSpec extends SparkSpec {
       assert(sameSpec.size == 6)
       sameSpec.foreach(r => assert(r.val_b == valB, s"$m/$seed ${r.repair}"))
     }
-    cached.foreach(_.unpersist())
   }
 
   test("outlier cell: 12 methods × 2 scenarios per model") {
@@ -85,6 +85,22 @@ class ExperimentSpec extends SparkSpec {
     val full = ds.dirty(spark, Duplicates)
     val rows = Experiment.runCell(ds, Duplicates, "", full, 0, fastCfg)
     rows.filter(_.scenario == "CD").foreach(r => assert(r.val_b == r.val_d))
+  }
+
+  test("a duplicates cell gives the same measurements at 2 and 64 shuffle partitions") {
+    val cfg = fastCfg.copy(models = Seq("random_forest", "logistic_regression"))
+    val ds = Datasets.byName("Movie")
+    val full = ds.dirty(spark, Duplicates)
+    val key = "spark.sql.shuffle.partitions"
+    val before = spark.conf.get(key)
+    try {
+      val runs = Seq("2", "64").map { n =>
+        spark.conf.set(key, n)
+        Experiment.runCell(ds, Duplicates, "", full, 0, cfg)
+      }
+      assert(runs.head.nonEmpty)
+      assert(runs.head == runs.last)
+    } finally spark.conf.set(key, before)
   }
 
   test("runCell is deterministic") {
@@ -109,25 +125,21 @@ class ExperimentSpec extends SparkSpec {
     val ds = Datasets.byName("EEG")
     val full = ds.clean(spark).filter(col("label") === 1.0) // single class
     val (train, _) = Splits.trainTest(full, 0)
-    val cached = scala.collection.mutable.ArrayBuffer.empty[org.apache.spark.sql.DataFrame]
-    val arm = Experiment.buildArm(ds.spec, train, 0, cached)
+    val arm = Experiment.buildArm(ds.spec, train, 0, ArrayBuffer.empty)
     val fitted = Experiment.fitModel(arm, repro.ml.Models.byName("xgboost"), "acc", 0, 0, fastCfg)
     val preds = fitted.arm.rows(full.limit(20)).map { case (v, _) => fitted.predict(v) }.distinct
     assert(preds == Seq(1.0))
-    cached.foreach(_.unpersist())
   }
 
   test("an arm collects each test frame once") {
     val ds = Datasets.byName("EEG")
     val (train, test) = Splits.trainTest(ds.clean(spark), 0)
-    val cached = scala.collection.mutable.ArrayBuffer.empty[org.apache.spark.sql.DataFrame]
-    val arm = Experiment.buildArm(ds.spec, train, 0, cached)
+    val arm = Experiment.buildArm(ds.spec, train, 0, ArrayBuffer.empty)
     val rows = arm.rows(test)
     assert(arm.rows(test) eq rows)
     // A frame is keyed by identity: another instance is collected anew.
     val again = arm.rows(test.select("*"))
     assert(!(again eq rows) && again == rows)
-    cached.foreach(_.unpersist())
   }
 
   test("search with searchK>1 picks the config with the best validation score") {

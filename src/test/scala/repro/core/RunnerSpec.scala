@@ -124,14 +124,29 @@ class RunnerSpec extends SparkSpec {
   private def sortedRows(df: DataFrame): Seq[String] =
     df.collect().map(_.toSeq.mkString("\t")).toSeq.sorted
 
+  /** A dataset whose one numeric column is null: its cells collect their
+    * arm's training rows in a Spark job, then fail to featurize them.
+    */
+  private object NullFeature extends BenchDataset {
+    val spec = DataSpec(name = "NullFeature", rows = 40, numeric = Seq("x"), categorical = Nil,
+      errors = Set(Inconsistencies))
+    protected def genClean(rng: Gen.Rng): IndexedSeq[Gen.MRow] = (0 until spec.rows).map { i =>
+      val r = Gen.newRow()
+      r("rid") = i.toLong; r("label") = (i % 2).toDouble; r("label_gt") = (i % 2).toDouble
+      r
+    }
+    protected def inject(rows: IndexedSeq[Gen.MRow], error: ErrorType, variant: String,
+                         rng: Gen.Rng): IndexedSeq[Gen.MRow] = rows
+  }
+
   test("a failing cell: measurements rethrows only after every cell has ended") {
     val sc = spark.sparkContext
-    val failing = cfg.copy(splits = 6, parallelism = 2, models = Seq("naive_bayes", "no_such_model"))
+    val failing = cfg.copy(splits = 6, parallelism = 2, models = Seq("naive_bayes"))
     val jobsInCall = jobsStartedBy {
-      val e = intercept[RuntimeException] {
-        Runner.measurements(spark, failing, Set(Inconsistencies), smallData)
+      val e = intercept[IllegalArgumentException] {
+        Runner.measurements(spark, failing, Set(Inconsistencies), NullFeature +: smallData)
       }
-      assert(e.getMessage.contains("unknown model: no_such_model"))
+      assert(e.getMessage.contains("NullFeature: x is null or NaN"))
       ListenerBusAccess.drain(sc)
       assert(sc.statusTracker.getActiveJobIds().isEmpty)
     }

@@ -31,9 +31,9 @@ object MLTestData {
     }
   }
 
-  /** Toy rows as one partition of training rows with two continuous slots. */
+  /** Toy rows as training rows with two continuous slots. */
   def train(rows: Seq[(Vector, Double)]): Features.Train =
-    Features.Train(Seq(rows), new AttributeGroup(Features.FeaturesCol, 2))
+    Features.Train(rows, new AttributeGroup(Features.FeaturesCol, 2))
 
   /** (label, prediction) pairs of a local predictor over featurized rows. */
   def scored(predict: Vector => Double, rows: Seq[(Vector, Double)]): Seq[(Double, Double)] =

@@ -1,5 +1,6 @@
 package repro.stats
 
+import org.apache.commons.math3.special.Beta
 import org.scalatest.funsuite.AnyFunSuite
 
 class DistSpec extends AnyFunSuite {
@@ -93,5 +94,14 @@ class DistSpec extends AnyFunSuite {
   test("heavier tails at lower df") {
     // For the same positive t, smaller df leaves more mass in the tail.
     assert(Dist.studentTCdf(2.0, 2.0) < Dist.studentTCdf(2.0, 30.0))
+  }
+
+  test("studentTUpperTail agrees with commons-math3's regularized beta to 1e-12 relative") {
+    for (df <- 1 to 39; t <- (-120 to 120).map(_ * 0.5)) {
+      val half = 0.5 * Beta.regularizedBeta(df / (df + t * t), df / 2.0, 0.5)
+      val want = if (t < 0) 1.0 - half else half
+      val got = Dist.studentTUpperTail(t, df)
+      assert(math.abs(got - want) <= 1e-12 * math.abs(want), s"t=$t df=$df: $got vs $want")
+    }
   }
 }
