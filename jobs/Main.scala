@@ -33,9 +33,7 @@ object Main {
         val cfg = RunConfig.fromEnv
         println(s"[Table15] config: $cfg")
         errors.foreach { e =>
-          val rel = Runner.run(spark, cfg, Set(e))
-          Runner.printTable15(rel, e)
-          rel.measurements.unpersist()
+          Runner.printTable15(Runner.run(spark, cfg, Set(e)), e)
         }
       case Some("digest") => spark =>
         val cfg = RunConfig.fromEnv

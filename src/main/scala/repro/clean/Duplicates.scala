@@ -1,7 +1,6 @@
 package repro.clean
 
-import org.apache.spark.sql.DataFrame
-import org.apache.spark.sql.functions._
+import org.apache.spark.sql.Row
 
 import repro.core.Method
 import repro.data.DataSpec
@@ -14,17 +13,15 @@ import repro.data.DataSpec
 object Duplicates extends Cleaner {
   val method = Method("key_collision", "delete")
 
-  /** The frame's (key, rid) pairs are collected once; the smallest rid of
-    * each key, a null key being one group, is kept by a filter. With no
-    * shuffle, the output keeps its input's partitions and row order.
+  /** The rows whose rid is the smallest of their key's, a null key being
+    * one group, in their input order.
     */
-  def dedup(spec: DataSpec, df: DataFrame): DataFrame = {
+  def dedup(spec: DataSpec, rows: Seq[Row]): Seq[Row] = {
     val key = spec.keyCol.getOrElse(sys.error(s"${spec.name} has no key column"))
-    val firsts = df.select(col(key), col("rid")).collect().toSeq
-      .groupMapReduce(_.get(0))(_.getLong(1))(math.min)
-    df.filter(col("rid").isInCollection(firsts.values))
+    val firsts = rows.groupMapReduce(_.getAs[Any](key))(_.getAs[Long]("rid"))(math.min).values.toSet
+    rows.filter(r => firsts.contains(r.getAs[Long]("rid")))
   }
 
-  def clean(spec: DataSpec, train: DataFrame, test: DataFrame): (DataFrame, DataFrame) =
+  def clean(spec: DataSpec, train: Seq[Row], test: Seq[Row]): (Seq[Row], Seq[Row]) =
     (dedup(spec, train), dedup(spec, test))
 }

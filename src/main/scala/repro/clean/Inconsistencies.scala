@@ -1,10 +1,9 @@
 package repro.clean
 
-import org.apache.spark.sql.DataFrame
-import org.apache.spark.sql.functions._
+import org.apache.spark.sql.Row
 
 import repro.core.Method
-import repro.data.DataSpec
+import repro.data.{DataSpec, Rows}
 import repro.stats.Descriptive
 
 /** Inconsistency cleaning (paper §3.1.4) — an automated stand-in for the
@@ -38,13 +37,13 @@ object Inconsistencies extends Cleaner {
       fp -> Descriptive.mostFrequent(Descriptive.counts(members))
     }
 
-  def clean(spec: DataSpec, train: DataFrame, test: DataFrame): (DataFrame, DataFrame) = {
+  def clean(spec: DataSpec, train: Seq[Row], test: Seq[Row]): (Seq[Row], Seq[Row]) = {
     val column = spec.inconsCol.getOrElse(sys.error(s"${spec.name} has no inconsistency column"))
-    val map = canonicalMap(Cleaner.columns(train, Seq(column)).values[String](column))
-    val mergeUdf = udf { (v: String) =>
-      if (v == null) null else map.getOrElse(fingerprint(v), v)
-    }
-    def merge(df: DataFrame): DataFrame = df.withColumn(column, mergeUdf(col(column)))
+    val map = canonicalMap(Rows.values[String](train, column))
+    def merge(rows: Seq[Row]): Seq[Row] = rows.map(r => Rows.updated(r, Seq(column)) {
+      case (_, v: String) => map.getOrElse(fingerprint(v), v)
+      case (_, v)         => v
+    })
     (merge(train), merge(test))
   }
 }

@@ -15,14 +15,13 @@ object IsolationForest {
 
   /** A node of an isolation tree; leaves have left == right == null. */
   final case class Node(splitValue: Double, left: Node, right: Node, size: Int)
-    extends Serializable
 
   /** Average path length of an unsuccessful BST search over n points. */
   def c(n: Int): Double =
     if (n <= 1) 0.0
     else 2.0 * (math.log(n - 1.0) + 0.5772156649) - 2.0 * (n - 1.0) / n
 
-  final case class Forest(trees: Seq[Node], sampleSize: Int) extends Serializable {
+  final case class Forest(trees: Seq[Node], sampleSize: Int) {
     private val norm = c(sampleSize)
 
     private def pathLength(x: Double, node: Node, depth: Int): Double =

@@ -1,10 +1,9 @@
 package repro.clean
 
-import org.apache.spark.sql.DataFrame
-import org.apache.spark.sql.functions._
+import org.apache.spark.sql.Row
 
 import repro.core.Method
-import repro.data.DataSpec
+import repro.data.{DataSpec, Rows}
 
 /** Mislabel cleaning (paper §3.1.5): mislabels are injected, so ground
   * truth is known — detection is "ground truth" and repair flips the label
@@ -13,8 +12,9 @@ import repro.data.DataSpec
 object Mislabels extends Cleaner {
   val method = Method("ground_truth", "flip")
 
-  def fix(df: DataFrame): DataFrame = df.withColumn("label", col("label_gt"))
+  def fix(rows: Seq[Row]): Seq[Row] =
+    rows.map(r => Rows.updated(r, Seq("label"))((_, _) => r.getAs[Any]("label_gt")))
 
-  def clean(spec: DataSpec, train: DataFrame, test: DataFrame): (DataFrame, DataFrame) =
+  def clean(spec: DataSpec, train: Seq[Row], test: Seq[Row]): (Seq[Row], Seq[Row]) =
     (fix(train), fix(test))
 }

@@ -1,15 +1,15 @@
 package repro.clean
 
-import org.apache.spark.sql.{Column, DataFrame}
-import org.apache.spark.sql.functions._
+import org.apache.spark.sql.Row
 
 import repro.core.Method
-import repro.data.DataSpec
+import repro.data.{DataSpec, Rows}
 import repro.stats.Descriptive
 
 /** Missing-value cleaning (paper §3.1.1).
   *
-  * Detection: empty/NaN entries (we normalize to SQL NULL at injection).
+  * Detection: empty/NaN entries (we normalize to SQL NULL at injection;
+  * a NaN double counts as missing, as in Spark's `na` functions).
   * Repairs: row deletion, or one of six imputation combos — numeric
   * {mean, median, mode} × categorical {mode, dummy "missing" category}.
   * Imputation statistics come from the training set only.
@@ -18,19 +18,27 @@ object MissingValues {
 
   val DummyCategory = "missing"
 
-  /** Count of missing feature cells (used by tests and diagnostics). */
-  def missingCellCount(spec: DataSpec, df: DataFrame): Long = {
-    val exprs = spec.featureCols.map(c =>
-      sum(when(col(c).isNull, 1L).otherwise(0L)))
-    val row = df.agg(exprs.head, exprs.tail: _*).head()
-    (0 until spec.featureCols.size).map(row.getLong).sum
+  /** A missing cell, as `na.drop` and `na.fill` see one: null, or a NaN
+    * double.
+    */
+  def isMissing(v: Any): Boolean = v match {
+    case null      => true
+    case d: Double => d.isNaN
+    case _         => false
   }
+
+  /** The row has at least one missing feature cell. */
+  def anyMissing(spec: DataSpec)(r: Row): Boolean = spec.featureCols.exists(c => isMissing(r.getAs[Any](c)))
+
+  /** Count of missing feature cells (used by tests and diagnostics). */
+  def missingCellCount(spec: DataSpec, rows: Seq[Row]): Long =
+    rows.map(r => spec.featureCols.count(c => isMissing(r.getAs[Any](c))).toLong).sum
 
   /** Deletion repair: drop any record with a missing feature value. */
   object Deletion extends Cleaner {
     val method = Method("empty_entry", "delete")
-    def clean(spec: DataSpec, train: DataFrame, test: DataFrame): (DataFrame, DataFrame) =
-      (train.na.drop(spec.featureCols), test.na.drop(spec.featureCols))
+    def clean(spec: DataSpec, train: Seq[Row], test: Seq[Row]): (Seq[Row], Seq[Row]) =
+      (train.filterNot(anyMissing(spec)), test.filterNot(anyMissing(spec)))
   }
 
   /** The six imputation repairs, named `<numeric>_<categorical>` as in
@@ -44,22 +52,21 @@ object MissingValues {
 
   def imputer(num: String, cat: String): Cleaner = new Imputer(num, cat)
 
+  /** Fills each missing feature cell with its column's training statistic
+    * (non-null training cells; text with ""), in train and test alike.
+    */
   private final class Imputer(numStat: String, catStat: String) extends Cleaner {
     val method = Method("empty_entry", s"${numStat}_$catStat")
 
-    def clean(spec: DataSpec, train: DataFrame, test: DataFrame): (DataFrame, DataFrame) = {
-      val trainCols = Cleaner.columns(train, spec.numeric ++ spec.categorical)
-      val numFill: Map[String, Double] = spec.numeric.map { c =>
-        c -> numericStat(trainCols.values[Double](c), numStat)
-      }.toMap
-      val catFill: Map[String, String] = spec.categorical.map { c =>
-        c -> (if (catStat == "dummy") DummyCategory else stringMode(trainCols.values[String](c)))
-      }.toMap
-      val textFill: Map[String, String] = spec.text.map(_ -> "").toMap
-
-      def fill(df: DataFrame): DataFrame =
-        df.na.fill(numFill).na.fill(catFill ++ textFill)
-      (fill(train), fill(test))
+    def clean(spec: DataSpec, train: Seq[Row], test: Seq[Row]): (Seq[Row], Seq[Row]) = {
+      val fill: Map[String, Any] =
+        spec.numeric.map(c => c -> numericStat(Rows.values[Double](train, c), numStat)).toMap ++
+          spec.categorical.map(c => c ->
+            (if (catStat == "dummy") DummyCategory else stringMode(Rows.values[String](train, c)))) ++
+          spec.text.map(_ -> "")
+      def filled(rows: Seq[Row]): Seq[Row] =
+        rows.map(r => Rows.updated(r, spec.featureCols)((c, v) => if (isMissing(v)) fill(c) else v))
+      (filled(train), filled(test))
     }
   }
 
@@ -74,8 +81,4 @@ object MissingValues {
   /** Most frequent of a column's non-null training categories. */
   def stringMode(values: Array[String]): String =
     if (values.isEmpty) DummyCategory else Descriptive.mostFrequent(Descriptive.counts(values))
-
-  /** Boolean column: row has at least one missing feature cell. */
-  def anyMissing(spec: DataSpec): Column =
-    spec.featureCols.map(col(_).isNull).reduce(_ || _)
 }

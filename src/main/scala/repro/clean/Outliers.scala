@@ -1,10 +1,9 @@
 package repro.clean
 
-import org.apache.spark.sql.{Column, DataFrame}
-import org.apache.spark.sql.functions._
+import org.apache.spark.sql.Row
 
 import repro.core.Method
-import repro.data.DataSpec
+import repro.data.{DataSpec, Rows}
 import repro.stats.Descriptive
 
 /** Numerical-outlier cleaning (paper §3.1.2).
@@ -44,14 +43,15 @@ object Outliers {
 
   private def outside(lo: Double, hi: Double): Double => Boolean = v => v < lo || v > hi
 
-  /** Each column's detector; an isolation forest is seeded by the column name. */
-  private def fitDetectors(detect: String, train: Cleaner.Columns,
-                           cols: Seq[String]): Map[String, Double => Boolean] =
-    cols.map(c => c -> fitDetector(detect, train.values[Double](c), seed = c.hashCode.toLong)).toMap
+  /** Each column's detector, fit on its non-null training cells; an
+    * isolation forest is seeded by the column name.
+    */
+  private def fitDetectors(detect: String, train: Seq[Row], cols: Seq[String]): Map[String, Double => Boolean] =
+    cols.map(c => c -> fitDetector(detect, Rows.values[Double](train, c), seed = c.hashCode.toLong)).toMap
 
-  /** A detector applied to a column; null cells are never flagged. */
-  private[clean] def flagged(isOutlier: Double => Boolean, c: String): Column =
-    udf((v: java.lang.Double) => v != null && isOutlier(v)).apply(col(c))
+  /** A cell flagged by its column's detector; a null cell never is. */
+  private def isFlagged(detectors: Map[String, Double => Boolean], c: String, v: Any): Boolean =
+    v != null && detectors(c)(v.asInstanceOf[Double])
 
   /** All 12 detector × repair cleaners. */
   val cleaners: Seq[Cleaner] =
@@ -62,37 +62,34 @@ object Outliers {
   private final class OutlierCleaner(detect: String, repair: String) extends Cleaner {
     val method = Method(detect, repair)
 
-    def clean(spec: DataSpec, train: DataFrame, test: DataFrame): (DataFrame, DataFrame) = {
-      val cols  = spec.outlierCols
+    def clean(spec: DataSpec, train: Seq[Row], test: Seq[Row]): (Seq[Row], Seq[Row]) = {
+      val cols = spec.outlierCols
       require(cols.nonEmpty, s"${spec.name} has no outlier columns")
-      val trainCols = Cleaner.columns(train, cols)
-      val flags = fitDetectors(detect, trainCols, cols)
+      val detectors = fitDetectors(detect, train, cols)
       repair match {
         case "delete" =>
-          val anyFlag = cols.map(c => flagged(flags(c), c)).reduce(_ || _)
-          (train.filter(!anyFlag), test.filter(!anyFlag))
+          def kept(rows: Seq[Row]) = rows.filterNot(r => cols.exists(c => isFlagged(detectors, c, r.getAs[Any](c))))
+          (kept(train), kept(test))
         case rep =>
           val stat = rep.stripPrefix("impute_")
           // Imputation value = statistic of the attribute's non-flagged
           // training cells.
           val fill: Map[String, Double] = cols.map { c =>
-            c -> MissingValues.numericStat(trainCols.values[Double](c).filterNot(flags(c)), stat)
+            c -> MissingValues.numericStat(Rows.values[Double](train, c).filterNot(detectors(c)), stat)
           }.toMap
-          def repaired(df: DataFrame): DataFrame =
-            cols.foldLeft(df) { (d, c) =>
-              d.withColumn(c, when(flagged(flags(c), c), lit(fill(c))).otherwise(col(c)))
-            }
+          def repaired(rows: Seq[Row]) = rows.map(r =>
+            Rows.updated(r, cols)((c, v) => if (isFlagged(detectors, c, v)) fill(c) else v))
           (repaired(train), repaired(test))
       }
     }
   }
 
-  /** Fraction of flagged cells (diagnostics and tests). */
-  def flaggedCellRate(detect: String, train: DataFrame, df: DataFrame,
-                      cols: Seq[String]): Double = {
-    val flags = fitDetectors(detect, Cleaner.columns(train, cols), cols)
-    val cells = Cleaner.columns(df, cols)
-    val flaggedCells = cols.map(c => cells.values[Double](c).count(flags(c))).sum
-    flaggedCells.toDouble / (df.count().toDouble * cols.size)
+  /** Fraction of flagged cells of `rows`, detectors fit on `train`
+    * (diagnostics and tests).
+    */
+  def flaggedCellRate(detect: String, train: Seq[Row], rows: Seq[Row], cols: Seq[String]): Double = {
+    val detectors = fitDetectors(detect, train, cols)
+    val flaggedCells = cols.map(c => rows.count(r => isFlagged(detectors, c, r.getAs[Any](c)))).sum
+    flaggedCells.toDouble / (rows.size.toDouble * cols.size)
   }
 }

@@ -5,7 +5,6 @@ import scala.util.{Random, Try}
 
 import org.apache.spark.ml.linalg.Vector
 import org.apache.spark.sql.{DataFrame, Row}
-import org.apache.spark.sql.functions._
 
 import repro.clean.CleaningMethods
 import repro.core.ErrorType._
@@ -27,36 +26,26 @@ object Experiment {
   /** A featurized training arm, on the driver: the featurizer fit on this
     * arm's training set, the downsampled sub-train rows (for the fits), the
     * validation rows, and the sub-train's class histogram for
-    * degenerate-case guards. An arm belongs to the one cell thread that
-    * built it.
+    * degenerate-case guards.
     */
   final case class Arm(spec: DataSpec, featurize: Features.Featurizer, sub: Features.Train,
-                       valRows: Seq[(Vector, Double)], classCounts: Map[Double, Long]) {
-    private val collected = new java.util.IdentityHashMap[DataFrame, Seq[(Vector, Double)]]
+                       valRows: Seq[(Vector, Double)], classCounts: Map[Double, Long])
 
-    /** The (features, label) rows of a raw frame featurized by this arm's
-      * featurizer, collected on the first call for that frame instance.
-      */
-    def rows(raw: DataFrame): Seq[(Vector, Double)] =
-      collected.computeIfAbsent(raw, df =>
-        df.select((spec.featureCols :+ "label").map(col): _*).collect().toSeq
-          .map(r => (featurize(r), r.getAs[Double]("label"))))
-  }
-
-  /** Build a training arm from raw training rows, collected in one job; the
-    * featurizing, the sub-train/validation split and the downsampling run
-    * on the driver. `cached` is unused: an arm caches no frame.
+  /** Build a training arm from raw training rows: the featurizing, the
+    * sub-train/validation split and the downsampling all run on the driver.
     */
-  def buildArm(spec: DataSpec, trainRaw: DataFrame, split: Int,
-               cached: ArrayBuffer[DataFrame]): Arm = {
-    val rows = trainRaw.select(("rid" +: spec.featureCols :+ "label").map(col): _*).collect().toSeq
-    val featurize = Features.fit(spec, rows)
-    def labeled(rs: Seq[Row]) = rs.map(r => (featurize(r), r.getAs[Double]("label")))
-    val (sub0, valFold) = Splits.subVal(rows, salt = split * 131 + 17)(_.getAs[Long]("rid"))
-    val sub = Features.downsample(spec, labeled(sub0), seed = split.toLong)
-    Arm(spec, featurize, Features.Train(sub, featurize.attributes), labeled(valFold),
+  def buildArm(spec: DataSpec, train: Seq[Row], split: Int): Arm = {
+    val featurize = Features.fit(spec, train)
+    val (sub0, valFold) = Splits.subVal(train, salt = split * 131 + 17)(_.getAs[Long]("rid"))
+    val sub = Features.downsample(spec, featurize.labeled(sub0), seed = split.toLong)
+    Arm(spec, featurize, Features.Train(sub, featurize.attributes), featurize.labeled(valFold),
       Descriptive.counts(sub.map(_._2)))
   }
+
+  /** `buildArm` of a frame's collected rows; `cached` is unused. */
+  def buildArm(spec: DataSpec, trainRaw: DataFrame, split: Int,
+               cached: ArrayBuffer[DataFrame]): Arm =
+    buildArm(spec, trainRaw.collect().toSeq, split)
 
   private def score(predict: Vector => Double, rows: Seq[(Vector, Double)], metric: String): Double =
     Evaluate.score(rows.map { case (v, l) => (l, predict(v)) }, metric)
@@ -97,13 +86,22 @@ object Experiment {
       parts.foldLeft(1125899906842597L)((h, p) => 31 * h + p.hashCode())
   }
 
-  /** Test-set score of a fitted model on raw test rows. */
-  def evalOn(f: Fitted, testRaw: DataFrame, metric: String): Double =
-    score(f.predict, f.arm.rows(testRaw), metric)
+  /** Test-set score of a fitted model on raw test rows, featurized by its
+    * arm.
+    */
+  def evalOn(f: Fitted, test: Seq[Row], metric: String): Double =
+    score(f.predict, f.arm.featurize.labeled(test), metric)
 
-  /** Run one cell: all methods × scenarios × models × seeds at one split. */
+  /** `evalOn` of a frame's collected rows. */
+  def evalOn(f: Fitted, testRaw: DataFrame, metric: String): Double =
+    evalOn(f, testRaw.collect().toSeq, metric)
+
+  /** Run one cell: all methods × scenarios × models × seeds at one split,
+    * on the dataset's rows. The split, the cleaners, the featurizing and
+    * the scoring run on the driver; only the MLlib fits run Spark jobs.
+    */
   def runCell(ds: BenchDataset, error: ErrorType, variant: String,
-              full: DataFrame, split: Int, cfg: RunConfig): Seq[Measurement] = {
+              full: Seq[Row], split: Int, cfg: RunConfig): Seq[Measurement] = {
     val spec   = ds.spec
     val dsName = ds.relName(error, variant)
     val metric = spec.metric
@@ -118,10 +116,10 @@ object Experiment {
     val baseTrain =
       if (error != MissingValues) trainRaw
       else repro.clean.MissingValues.Deletion.clean(spec, trainRaw, testRaw)._1
-    val armB = buildArm(spec, baseTrain, split, ArrayBuffer.empty)
+    val armB = buildArm(spec, baseTrain, split)
     val arms = cleaners.map { c =>
       val (trC, teC) = c.clean(spec, trainRaw, testRaw)
-      (c.method, buildArm(spec, trC, split, ArrayBuffer.empty), teC)
+      (c.method, buildArm(spec, trC, split), teC)
     }
     for (m <- models; seed <- 0 until cfg.seeds) {
       val fB = fitModel(armB, m, metric, split, seed, cfg)

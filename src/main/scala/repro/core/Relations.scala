@@ -63,25 +63,22 @@ object Relations {
       .select(keys ++ Seq(col("b"), col("d")): _*)
   }
 
-  /** Group pairs by spec keys, run the three paired t-tests per spec, apply
-    * BY over all p-values of the relation, and emit the flag per paper rule
-    * (`Flag.of`). Each spec's pairs enter its t-test in split order, since
-    * `collect_list` after a shuffle has no defined order.
+  /** Group pairs by spec keys on the driver, run the three paired t-tests
+    * per spec, apply BY over all p-values of the relation, and emit the
+    * flag per paper rule (`Flag.of`). Each spec's pairs enter its t-test in
+    * split order; the specs are in key order.
     */
   def flags(pairs: DataFrame, keys: Seq[String], alpha: Double): DataFrame = {
     val spark = pairs.sparkSession
-    val grouped = pairs
-      .groupBy(keys.map(col): _*)
-      .agg(collect_list(struct(col("split"), col("b"), col("d"))).as("pairs"))
-      .collect()
+    val grouped = pairs.select((keys ++ Seq("split", "b", "d")).map(col): _*).collect().toSeq
+      .groupBy(r => keys.indices.map(r.getString)).toSeq
+      .sortBy(_._1)(Ordering.Implicits.seqOrdering[IndexedSeq, String])
 
-    val stats = grouped.map { r =>
-      val keyVals = keys.indices.map(i => r.getString(i))
-      val ps = r.getSeq[Row](keys.size).sortBy(_.getInt(0))
-        .map(p => (p.getDouble(1), p.getDouble(2)))
+    val stats = grouped.map { case (keyVals, rs) =>
+      val ps = rs.sortBy(_.getInt(keys.size)).map(p => (p.getDouble(keys.size + 1), p.getDouble(keys.size + 2)))
       (keyVals, TTest.paired(ps))
     }
-    val rawP = stats.flatMap { case (_, t) => Seq(t.p0, t.p1, t.p2) }.toSeq
+    val rawP = stats.flatMap { case (_, t) => Seq(t.p0, t.p1, t.p2) }
     val adjP = FDR.benjaminiYekutieli(rawP)
 
     val rows = stats.zipWithIndex.map { case ((keyVals, t), i) =>

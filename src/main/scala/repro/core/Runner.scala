@@ -7,10 +7,11 @@ import org.apache.spark.sql.{DataFrame, SparkSession}
 import repro.data.{BenchDataset, Datasets}
 
 /** Orchestrates the benchmark: runs the measurement grid (driver-parallel
-  * over (dataset, error, variant, split) cells, each cell a sequence of
-  * Spark jobs), derives the R1/R2/R3 relations, and prints the Table-15
-  * analysis blocks. The cells, the three relations and the three
-  * relations' queries each run concurrently, through `concurrently`.
+  * over (dataset, error, variant, split) cells, each cell the dataset's
+  * driver rows plus the Spark jobs of its MLlib fits), derives the
+  * R1/R2/R3 relations, and prints the Table-15 analysis blocks. The cells,
+  * the three relations and the three relations' queries each run
+  * concurrently, through `concurrently`.
   */
 object Runner {
 
@@ -45,7 +46,7 @@ object Runner {
                    errors: Set[ErrorType],
                    datasets: Seq[BenchDataset] = Datasets.all): DataFrame = {
     val rows = concurrently(cfg.parallelism)(
-      for ((ds, e, v) <- Specs.cells(errors, datasets); full = ds.dirty(spark, e, v);
+      for ((ds, e, v) <- Specs.cells(errors, datasets); full = ds.dirtyRows(e, v);
            split <- 0 until cfg.splits)
         yield () => Experiment.runCell(ds, e, v, full, split, cfg)).flatten
     import spark.implicits._
@@ -55,8 +56,7 @@ object Runner {
   /** Full pipeline: measurements -> flagged relations. */
   def run(spark: SparkSession, cfg: RunConfig, errors: Set[ErrorType],
           datasets: Seq[BenchDataset] = Datasets.all): BenchmarkRelations = {
-    val meas = measurements(spark, cfg, errors, datasets).cache()
-    meas.count()
+    val meas = measurements(spark, cfg, errors, datasets)
     val Seq(r1, r2, r3) = concurrently(3)(Seq(
       () => Relations.r1(meas, cfg.alpha),
       () => Relations.r2(meas, cfg.alpha),

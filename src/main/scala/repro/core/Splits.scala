@@ -1,10 +1,11 @@
 package repro.core
 
-import org.apache.spark.sql.DataFrame
+import org.apache.spark.sql.{DataFrame, Row}
 import org.apache.spark.sql.catalyst.expressions.XxHash64Function
-import org.apache.spark.sql.functions._
-import org.apache.spark.sql.types.{IntegerType, LongType, StringType}
+import org.apache.spark.sql.types.{DataType, IntegerType, LongType, StringType}
 import org.apache.spark.unsafe.types.UTF8String
+
+import repro.data.Rows
 
 /** Deterministic dataset splitting. The paper splits 70/30 at random with
   * per-split seeds (§4.1 step 1, §4.2.2); we realize each seeded split as a
@@ -12,21 +13,36 @@ import org.apache.spark.unsafe.types.UTF8String
   */
 object Splits {
 
-  /** 70/30 train/test split for a given split seed. */
+  /** `pmod(xxhash64(rid, keys...), 100)`, hashed by Catalyst's own
+    * function, chained from its seed 42 as `xxhash64` chains its arguments.
+    */
+  private def bucket(rid: Long, keys: (Any, DataType)*): Int = {
+    val h = ((rid, LongType) +: keys).foldLeft(42L) { case (seed, (v, t)) => XxHash64Function.hash(v, t, seed) }
+    Math.floorMod(h, 100L).toInt
+  }
+
+  /** A row's bucket in [0, 100) of split `splitSeed`'s train/test split:
+    * `pmod(xxhash64(rid, splitSeed), 100)`.
+    */
+  def trainBucket(rid: Long, splitSeed: Int): Int = bucket(rid, (splitSeed, IntegerType))
+
+  /** 70/30 train/test split of a dataset's rows for a given split seed;
+    * both parts keep the rows' order.
+    */
+  def trainTest(rows: Seq[Row], splitSeed: Int): (Seq[Row], Seq[Row]) =
+    rows.partition(r => trainBucket(r.getAs[Long]("rid"), splitSeed) < 70)
+
+  /** `trainTest` of a frame's collected rows, each part one partition. */
   def trainTest(df: DataFrame, splitSeed: Int): (DataFrame, DataFrame) = {
-    val bucket = pmod(xxhash64(col("rid"), lit(splitSeed)), lit(100))
-    (df.filter(bucket < 70), df.filter(bucket >= 70))
+    val (train, test) = trainTest(df.collect().toSeq, splitSeed)
+    (Rows.frame(df.sparkSession, df.schema, train), Rows.frame(df.sparkSession, df.schema, test))
   }
 
   /** A row's bucket in [0, 100) of the sub-train/validation split:
-    * `pmod(xxhash64(rid, salt, "validation"), 100)`, hashed by Catalyst's
-    * own function, chained from its seed 42 as `xxhash64` chains it.
+    * `pmod(xxhash64(rid, salt, "validation"), 100)`.
     */
-  def validationBucket(rid: Long, salt: Int): Int = {
-    val h = Seq((rid, LongType), (salt, IntegerType), (UTF8String.fromString("validation"), StringType))
-      .foldLeft(42L) { case (seed, (v, t)) => XxHash64Function.hash(v, t, seed) }
-    Math.floorMod(h, 100L).toInt
-  }
+  def validationBucket(rid: Long, salt: Int): Int =
+    bucket(rid, (salt, IntegerType), (UTF8String.fromString("validation"), StringType))
 
   /** 80/20 sub-train/validation split of a training arm's rows, each keyed
     * by its row id; both parts keep the rows' order. Stands in for the

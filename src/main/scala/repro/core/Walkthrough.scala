@@ -23,7 +23,7 @@ object Walkthrough {
   /** Tables 6–9: one split, all models and methods, seeds = 1. */
   def tables6to9(spark: SparkSession): Unit = {
     val cfg  = RunConfig(splits = 1, seeds = 1)
-    val full = eeg.dirty(spark, ErrorType.Outliers)
+    val full = eeg.dirtyRows(ErrorType.Outliers)
     val rows = Experiment.runCell(eeg, ErrorType.Outliers, "", full, 0, cfg)
     import spark.implicits._
     val meas = rows.toDF().filter($"scenario" === "BD").cache()
@@ -71,7 +71,7 @@ object Walkthrough {
   def tables10to11(spark: SparkSession): Unit = {
     val cfg = RunConfig(splits = 1, seeds = 5, searchK = 2,
       methodFilter = Some(Set((S1Detect, S1Repair))))
-    val full = eeg.dirty(spark, ErrorType.Outliers)
+    val full = eeg.dirtyRows(ErrorType.Outliers)
     val rows = Experiment.runCell(eeg, ErrorType.Outliers, "", full, 0, cfg)
     import spark.implicits._
     val meas = rows.toDF().filter($"scenario" === "BD").cache()
@@ -104,7 +104,7 @@ object Walkthrough {
                    splits: Int = 20): (Seq[(Double, Double)], TTestResultView) = {
     val cfg = RunConfig(splits = splits, seeds = 1,
       models = Seq(S1Model), methodFilter = Some(Set((S1Detect, S1Repair))))
-    val full = eeg.dirty(spark, ErrorType.Outliers)
+    val full = eeg.dirtyRows(ErrorType.Outliers)
     val rows = (0 until splits).flatMap(s =>
       Experiment.runCell(eeg, ErrorType.Outliers, "", full, s, cfg))
     import spark.implicits._

@@ -1,6 +1,6 @@
 package repro.data
 
-import org.apache.spark.sql.{DataFrame, SparkSession}
+import org.apache.spark.sql.{DataFrame, Row, SparkSession}
 
 import repro.core.ErrorType
 import repro.core.ErrorType._
@@ -20,22 +20,26 @@ trait BenchDataset {
                        variant: String, rng: Rng): IndexedSeq[MRow]
 
   /** Dataset with exactly one error type injected, as the paper evaluates
-    * each error type separately. Deterministic in (dataset, error, variant,
-    * seed).
+    * each error type separately: rows of `spec.schema`. Deterministic in
+    * (dataset, error, variant, seed).
     */
-  final def dirty(spark: SparkSession, error: ErrorType, variant: String = "",
-                  seed: Long = 0L): DataFrame = {
+  final def dirtyRows(error: ErrorType, variant: String = "", seed: Long = 0L): Seq[Row] = {
     require(spec.errors.contains(error),
       s"${spec.name} has no ${error.name} (paper Table 3)")
     val rows = genClean(new Rng(Gen.seedFor(spec.name, seed)))
     val injected = inject(rows, error, variant,
       new Rng(Gen.seedFor(s"${spec.name}:${error.name}:$variant", seed + 1)))
-    Gen.toDF(spark, spec, injected)
+    Gen.rows(spec, injected)
   }
+
+  /** `dirtyRows` as a one-partition frame. */
+  final def dirty(spark: SparkSession, error: ErrorType, variant: String = "",
+                  seed: Long = 0L): DataFrame =
+    Rows.frame(spark, spec.schema, dirtyRows(error, variant, seed))
 
   /** The clean dataset (no injection) — used by tests. */
   final def clean(spark: SparkSession, seed: Long = 0L): DataFrame =
-    Gen.toDF(spark, spec, genClean(new Rng(Gen.seedFor(spec.name, seed))))
+    Rows.frame(spark, spec.schema, Gen.rows(spec, genClean(new Rng(Gen.seedFor(spec.name, seed)))))
 
   /** Relation-level dataset name: mislabel variants become own datasets. */
   final def relName(error: ErrorType, variant: String): String =

@@ -2,7 +2,8 @@ package repro.data
 
 import scala.collection.mutable
 
-import org.apache.spark.sql.{DataFrame, Row, SparkSession}
+import org.apache.spark.sql.Row
+import org.apache.spark.sql.catalyst.expressions.GenericRowWithSchema
 import org.apache.spark.sql.types._
 
 import repro.core.ErrorType
@@ -82,17 +83,12 @@ object Gen {
 
   def newRow(): MRow = mutable.LinkedHashMap.empty[String, Any]
 
-  /** Materialize locally generated rows as a small Spark DataFrame. */
-  def toDF(spark: SparkSession, spec: DataSpec, rows: Seq[MRow]): DataFrame = {
-    val order = spec.columnOrder
-    val data  = rows.map(m => Row.fromSeq(order.map(c => m.getOrElse(c, null))))
-    // Single partition: these frames are <= ~2000 rows, and one task per
-    // job beats scheduler overhead; grid concurrency comes from running
-    // many cells at once on the driver. Results rest on it too: no step
-    // of a cell repartitions, so every arm is this one partition's rows in
-    // order (DESIGN.md §6).
-    spark.createDataFrame(
-      spark.sparkContext.parallelize(data, numSlices = 1), spec.schema)
+  /** Generated rows as `Row`s of the spec's schema, in order: a dataset
+    * is <= ~2000 rows, and a cell runs on them on the driver (DESIGN.md §6).
+    */
+  def rows(spec: DataSpec, generated: Seq[MRow]): Seq[Row] = {
+    val (schema, order) = (spec.schema, spec.columnOrder)
+    generated.map(m => new GenericRowWithSchema(order.map(c => m.getOrElse(c, null)).toArray, schema))
   }
 
   /** Column values as doubles, skipping nulls. */

@@ -3,8 +3,11 @@ package repro.ml
 import scala.collection.mutable.ArrayBuffer
 
 import org.apache.spark.ml.classification.{DecisionTreeClassificationModel, DecisionTreeClassifier}
-import org.apache.spark.ml.linalg.Vector
-import org.apache.spark.sql.SparkSession
+import org.apache.spark.ml.linalg.{SQLDataTypes, Vector}
+import org.apache.spark.sql.{DataFrame, Row, SparkSession}
+import org.apache.spark.sql.types.{DoubleType, StructField, StructType}
+
+import repro.data.Rows
 
 /** From-scratch binary AdaBoost (discrete SAMME; paper §3.3 — MLlib has no
   * AdaBoost). Base learners are weighted MLlib decision trees. The sample
@@ -14,25 +17,34 @@ import org.apache.spark.sql.SparkSession
   */
 object AdaBoost {
 
+  private val WeightedSchema = StructType(Seq(
+    StructField(Features.FeaturesCol, SQLDataTypes.VectorType),
+    StructField("label", DoubleType, nullable = false),
+    StructField("__w", DoubleType, nullable = false)))
+
+  /** The frame a round's tree is fit on: the rows with their weights as one
+    * partition, in order, as `Features.Train.frame` holds them. The
+    * features carry no ML attributes, so every slot is continuous.
+    */
+  def weighted(rows: Seq[(Vector, Double)], w: Array[Double]): DataFrame =
+    Rows.frame(SparkSession.active, WeightedSchema, rows.zip(w).map { case ((v, l), wi) => Row(v, l, wi) })
+
   /** Fit on featurized training rows (features, label); returns a
     * local predictor that takes the sign of the alpha-weighted tree votes.
     */
   def fit(rows: Seq[(Vector, Double)], rounds: Int, baseDepth: Int, seed: Long): Vector => Double = {
     val n = rows.length
     require(n > 0, "AdaBoost: empty training set")
-    val spark = SparkSession.active
     val w = Array.fill(n)(1.0 / n)
     val trees = ArrayBuffer.empty[(DecisionTreeClassificationModel, Double)]
 
     var t = 0
     var stop = false
     while (t < rounds && !stop) {
-      val weighted = spark.createDataFrame(rows.zip(w).map { case ((v, l), wi) => (v, l, wi) })
-        .toDF(Features.FeaturesCol, "label", "__w")
       val model = new DecisionTreeClassifier()
         .setFeaturesCol(Features.FeaturesCol).setLabelCol("label")
         .setWeightCol("__w").setMaxDepth(baseDepth).setSeed(seed + t)
-        .fit(weighted)
+        .fit(weighted(rows, w))
       val miss = rows.map { case (v, l) => model.predict(v) != l }
       val err = w.indices.collect { case i if miss(i) => w(i) }.sum / w.sum
       if (err <= 1e-10) {

@@ -11,7 +11,7 @@ import org.apache.spark.sql.{DataFrame, Row, SparkSession}
 import org.apache.spark.sql.types.{DoubleType, StructField, StructType}
 import org.apache.spark.util.random.XORShiftRandomAccess
 
-import repro.data.DataSpec
+import repro.data.{DataSpec, Rows}
 import repro.stats.Descriptive
 
 /** Feature preprocessing per paper §3.3: one-hot encoding for categorical
@@ -36,6 +36,9 @@ object Features {
   final class Featurizer(val attributes: AttributeGroup, vector: Row => Vector)
       extends (Row => Vector) {
     def apply(row: Row): Vector = vector(row)
+
+    /** The (features, label) pairs of raw rows, in order. */
+    def labeled(rows: Seq[Row]): Seq[(Vector, Double)] = rows.map(r => (vector(r), r.getAs[Double]("label")))
   }
 
   /** Featurized (features, label) training rows and their slots' ML
@@ -46,11 +49,10 @@ object Features {
     /** The frame (`features`, `label`) that the MLlib estimators fit on:
       * the rows as one partition, in order, with `attributes` on `features`.
       */
-    def frame: DataFrame = {
-      val spark = SparkSession.active
-      val schema = StructType(Seq(attributes.toStructField(), StructField("label", DoubleType, nullable = false)))
-      spark.createDataFrame(spark.sparkContext.parallelize(rows.map { case (v, l) => Row(v, l) }, 1), schema)
-    }
+    def frame: DataFrame =
+      Rows.frame(SparkSession.active,
+        StructType(Seq(attributes.toStructField(), StructField("label", DoubleType, nullable = false))),
+        rows.map { case (v, l) => Row(v, l) })
   }
 
   private val tf = new HashingTF().setNumFeatures(64)

@@ -1,25 +1,29 @@
 package repro.clean
 
-import org.apache.spark.sql.functions._
+import org.apache.spark.sql.Row
+import org.apache.spark.sql.catalyst.expressions.GenericRowWithSchema
+import org.apache.spark.sql.types.{LongType, StringType, StructField, StructType}
 
 import repro.{Oracle, SparkSpec}
-import repro.core.ErrorType
-import repro.data.Datasets
+import repro.core.{ErrorType, Splits}
+import repro.data.{Datasets, Rows}
 
 class DuplicatesSpec extends SparkSpec {
 
   private val ds = Datasets.byName("Movie")
-  private lazy val dirty = ds.dirty(spark, ErrorType.Duplicates).cache()
+  private val key = ds.spec.keyCol.get
+  private lazy val dirty = ds.dirtyRows(ErrorType.Duplicates)
+
+  private def keys(rows: Seq[Row]): Seq[Any] = rows.map(_.getAs[Any](key))
 
   test("dedup keeps exactly one row per key") {
     val out = Duplicates.dedup(ds.spec, dirty)
-    val key = ds.spec.keyCol.get
-    assert(out.count() == dirty.select(key).distinct().count())
-    assert(out.groupBy(key).count().filter(col("count") > 1).count() == 0)
+    assert(out.size == keys(dirty).distinct.size)
+    assert(keys(out).distinct.size == out.size)
   }
 
   test("dedup keeps the FIRST record (smallest rid) of each key group — oracle-checked") {
-    val out = Duplicates.dedup(ds.spec, dirty).select("rid")
+    val out = Rows.frame(spark, ds.spec.schema, Duplicates.dedup(ds.spec, dirty)).select("rid")
     Oracle.assertEquivalent(
       out,
       """SELECT rid FROM (
@@ -27,41 +31,40 @@ class DuplicatesSpec extends SparkSpec {
         |         ROW_NUMBER() OVER (PARTITION BY title_key
         |                            ORDER BY CAST(rid AS BIGINT)) AS rn
         |  FROM t) WHERE rn = 1""".stripMargin,
-      "t" -> dirty)
+      "t" -> Rows.frame(spark, ds.spec.schema, dirty))
   }
 
   test("dedup keeps one record for all null keys, as a window partition does — oracle-checked") {
-    val s = spark
-    import s.implicits._
-    val keyed = Seq((4L, Some("a")), (2L, None), (1L, Some("a")), (5L, None), (3L, Some("b")))
-      .toDF("rid", "title_key")
+    val schema = StructType(Seq(StructField("rid", LongType), StructField("title_key", StringType)))
+    val keyed: Seq[Row] = Seq((4L, "a"), (2L, null), (1L, "a"), (5L, null), (3L, "b"))
+      .map { case (rid, k) => new GenericRowWithSchema(Array(rid, k), schema) }
     val out = Duplicates.dedup(ds.spec, keyed)
-    assert(out.select("rid").as[Long].collect().toSeq == Seq(2L, 1L, 3L))
+    assert(out.map(_.getLong(0)) == Seq(2L, 1L, 3L))
     Oracle.assertEquivalent(
-      out.select("rid"),
+      Rows.frame(spark, schema, out).select("rid"),
       """SELECT rid FROM (
         |  SELECT rid, ROW_NUMBER() OVER (PARTITION BY title_key ORDER BY rid) AS rn
         |  FROM t) WHERE rn = 1""".stripMargin,
-      "t" -> keyed)
+      "t" -> Rows.frame(spark, schema, keyed))
   }
 
   test("cleaning is idempotent") {
     val once  = Duplicates.dedup(ds.spec, dirty)
     val twice = Duplicates.dedup(ds.spec, once)
-    assert(once.count() == twice.count())
+    assert(once == twice)
   }
 
   test("train and test are deduplicated independently") {
-    val (train, test) = repro.core.Splits.trainTest(dirty, 1)
+    val (train, test) = Splits.trainTest(dirty, 1)
     val (trC, teC) = Duplicates.clean(ds.spec, train, test)
     // A key present in both halves survives in both halves.
-    assert(trC.count() == train.select(ds.spec.keyCol.get).distinct().count())
-    assert(teC.count() == test.select(ds.spec.keyCol.get).distinct().count())
+    assert(trC.size == keys(train).distinct.size)
+    assert(teC.size == keys(test).distinct.size)
   }
 
   test("dedup restores the original entity count on the full dataset") {
     val out = Duplicates.dedup(ds.spec, dirty)
-    assert(out.count() == ds.spec.rows.toLong)
+    assert(out.size == ds.spec.rows)
   }
 
   test("dedup restores the clean entity set: ground-truth prior matches exactly") {
@@ -69,12 +72,10 @@ class DuplicatesSpec extends SparkSpec {
     // some kept-first originals), so the OBSERVED dirty prior is inflated;
     // after dedup the surviving rows are exactly the original entities and
     // their ground-truth prior equals the clean dataset's.
-    def gtPrior(df: org.apache.spark.sql.DataFrame): Double =
-      df.filter(col("label_gt") === 1.0).count().toDouble / df.count()
-    def obsPrior(df: org.apache.spark.sql.DataFrame): Double =
-      df.filter(col("label") === 1.0).count().toDouble / df.count()
-    val cleanPrior = gtPrior(ds.clean(spark))
-    assert(obsPrior(dirty) > cleanPrior + 0.03) // duplication inflates minority
-    assert(math.abs(gtPrior(Duplicates.dedup(ds.spec, dirty)) - cleanPrior) < 1e-9)
+    def prior(rows: Seq[Row], label: String): Double =
+      rows.count(_.getAs[Double](label) == 1.0).toDouble / rows.size
+    val cleanPrior = prior(ds.clean(spark).collect().toSeq, "label_gt")
+    assert(prior(dirty, "label") > cleanPrior + 0.03) // duplication inflates minority
+    assert(math.abs(prior(Duplicates.dedup(ds.spec, dirty), "label_gt") - cleanPrior) < 1e-9)
   }
 }

@@ -1,9 +1,11 @@
 package repro.clean
 
-import org.apache.spark.sql.functions._
+import org.apache.spark.sql.Row
+import org.apache.spark.sql.catalyst.expressions.GenericRowWithSchema
+import org.apache.spark.sql.types.{LongType, StringType, StructField, StructType}
 
 import repro.SparkSpec
-import repro.core.ErrorType
+import repro.core.{ErrorType, Splits}
 import repro.data.Datasets
 
 class InconsistenciesSpec extends SparkSpec {
@@ -33,50 +35,47 @@ class InconsistenciesSpec extends SparkSpec {
     assert(m(Inconsistencies.fingerprint("b variant")) == "b variant")
   }
 
+  private def distinct(rows: Seq[Row], c: String): Set[String] = rows.map(_.getAs[String](c)).toSet
+
   test("merging restores the canonical values on an injected dataset") {
     val ds = Datasets.byName("Movie")
-    val dirty = ds.dirty(spark, ErrorType.Inconsistencies)
-    val (train, test) = repro.core.Splits.trainTest(dirty, 0)
+    val (train, test) = Splits.trainTest(ds.dirtyRows(ErrorType.Inconsistencies), 0)
     val (trC, teC) = Inconsistencies.clean(ds.spec, train, test)
-    val canon = ds.clean(spark).select("language").distinct()
-      .collect().map(_.getString(0)).toSet
-    val trVals = trC.select("language").distinct().collect().map(_.getString(0)).toSet
-    val teVals = teC.select("language").distinct().collect().map(_.getString(0)).toSet
+    val canon = distinct(ds.clean(spark).collect().toSeq, "language")
+    val trVals = distinct(trC, "language")
+    val teVals = distinct(teC, "language")
     assert(trVals.subsetOf(canon), s"train values after merge: $trVals")
     assert(teVals.subsetOf(canon), s"test values after merge: $teVals")
   }
 
   test("merged dataset matches the clean ground truth cell-for-cell") {
     val ds = Datasets.byName("University")
-    val dirty = ds.dirty(spark, ErrorType.Inconsistencies)
-    val (train, test) = repro.core.Splits.trainTest(dirty, 2)
+    val (train, test) = Splits.trainTest(ds.dirtyRows(ErrorType.Inconsistencies), 2)
     val (trC, _) = Inconsistencies.clean(ds.spec, train, test)
-    val cleanTruth = ds.clean(spark)
-    val joined = trC.alias("a").join(cleanTruth.alias("b"), "rid")
-    val mismatches = joined.filter(col("a.state") =!= col("b.state")).count()
+    val truth = ds.clean(spark).collect().map(r => r.getAs[Long]("rid") -> r.getAs[String]("state")).toMap
+    val mismatches = trC.count(r => r.getAs[String]("state") != truth(r.getAs[Long]("rid")))
     assert(mismatches == 0)
   }
 
   test("the map is built on train; unseen test variants resolve by fingerprint") {
-    import spark.implicits._
     val spec = Datasets.byName("Movie").spec
-    val train = Seq((0L, "english language"), (1L, "english language"))
-      .toDF("rid", "language")
-    val test = Seq((2L, "LANGUAGE, ENGLISH"), (3L, "martian language"))
-      .toDF("rid", "language")
+    val schema = StructType(Seq(StructField("rid", LongType), StructField("language", StringType)))
+    def rows(xs: (Long, String)*): Seq[Row] =
+      xs.map { case (rid, v) => new GenericRowWithSchema(Array(rid, v), schema) }
+    val train = rows((0L, "english language"), (1L, "english language"))
+    val test = rows((2L, "LANGUAGE, ENGLISH"), (3L, "martian language"))
     val (_, teC) = Inconsistencies.clean(spec, train, test)
-    val vals = teC.orderBy("rid").collect().map(_.getString(1))
+    val vals = teC.map(_.getString(1))
     assert(vals(0) == "english language") // variant resolved via fingerprint
     assert(vals(1) == "martian language") // unknown fingerprint kept as-is
   }
 
   test("inconsistency rate drops to zero after merging (rate diagnostics)") {
     val ds = Datasets.byName("Company")
-    val dirty = ds.dirty(spark, ErrorType.Inconsistencies)
-    val (train, test) = repro.core.Splits.trainTest(dirty, 0)
-    val distinctBefore = train.select("country").distinct().count()
+    val (train, test) = Splits.trainTest(ds.dirtyRows(ErrorType.Inconsistencies), 0)
+    val distinctBefore = distinct(train, "country").size
     val (trC, _) = Inconsistencies.clean(ds.spec, train, test)
-    val distinctAfter = trC.select("country").distinct().count()
+    val distinctAfter = distinct(trC, "country").size
     assert(distinctAfter < distinctBefore)
     assert(distinctAfter <= 6) // the six canonical countries
   }

@@ -1,17 +1,23 @@
 package repro.clean
 
+import org.apache.spark.sql.Row
 import org.apache.spark.sql.functions._
 
 import repro.{Oracle, SparkSpec}
-import repro.core.ErrorType
-import repro.data.Datasets
+import repro.core.{ErrorType, Splits}
+import repro.data.{Datasets, Rows}
 
 class MissingValuesSpec extends SparkSpec {
 
   private val ds = Datasets.byName("Titanic")
-  private lazy val dirty = ds.dirty(spark, ErrorType.MissingValues).cache()
-  private lazy val (train, testSet) = repro.core.Splits.trainTest(dirty, 0)
-  private lazy val ages = Cleaner.columns(train, Seq("age")).values[Double]("age")
+  private lazy val (train, testSet) = Splits.trainTest(ds.dirtyRows(ErrorType.MissingValues), 0)
+  /** The training rows as a frame, for the DuckDB oracle. */
+  private lazy val trainFrame = Rows.frame(spark, ds.spec.schema, train)
+  private lazy val ages = Rows.values[Double](train, "age")
+
+  /** Column `c` of the cleaned rows whose `c` was null in training. */
+  private def filledIn(cleaned: Seq[Row], c: String): Seq[Any] =
+    cleaned.zip(train).collect { case (r, d) if d.isNullAt(d.fieldIndex(c)) => r.getAs[Any](c) }
 
   test("registry exposes exactly the six paper imputation combos") {
     assert(MissingValues.imputers.map(_.method.repair).toSet == Set(
@@ -22,10 +28,10 @@ class MissingValuesSpec extends SparkSpec {
 
   test("deletion removes exactly the rows with missing feature cells") {
     val (trC, teC) = MissingValues.Deletion.clean(ds.spec, train, testSet)
-    assert(trC.filter(MissingValues.anyMissing(ds.spec)).count() == 0)
-    assert(teC.filter(MissingValues.anyMissing(ds.spec)).count() == 0)
-    val expected = train.filter(!MissingValues.anyMissing(ds.spec)).count()
-    assert(trC.count() == expected)
+    assert(!trC.exists(MissingValues.anyMissing(ds.spec)))
+    assert(!teC.exists(MissingValues.anyMissing(ds.spec)))
+    assert(trC == train.filterNot(MissingValues.anyMissing(ds.spec)))
+    assert(trC.size < train.size)
   }
 
   test("every imputer leaves zero missing cells in train and test") {
@@ -39,8 +45,8 @@ class MissingValuesSpec extends SparkSpec {
   test("imputers do not change row counts") {
     MissingValues.imputers.foreach { c =>
       val (trC, teC) = c.clean(ds.spec, train, testSet)
-      assert(trC.count() == train.count(), c.method)
-      assert(teC.count() == testSet.count(), c.method)
+      assert(trC.size == train.size, c.method)
+      assert(teC.size == testSet.size, c.method)
     }
   }
 
@@ -49,13 +55,11 @@ class MissingValuesSpec extends SparkSpec {
     Oracle.assertEquivalent(
       spark.range(1).select(lit(math.round(m * 1000) / 1000.0).as("train_mean")),
       "SELECT ROUND(AVG(CAST(age AS DOUBLE)), 3) AS train_mean FROM t WHERE age IS NOT NULL",
-      "t" -> train)
+      "t" -> trainFrame)
     val (trC, _) = MissingValues.imputer("mean", "mode").clean(ds.spec, train, testSet)
-    val joined = trC.alias("c").join(train.alias("d"), "rid")
-      .filter(col("d.age").isNull)
-    val distinctFill = joined.select(col("c.age")).distinct().collect()
+    val distinctFill = filledIn(trC, "age").distinct
     assert(distinctFill.length == 1)
-    assert(math.abs(distinctFill(0).getDouble(0) - m) < 1e-9)
+    assert(math.abs(distinctFill.head.asInstanceOf[Double] - m) < 1e-9)
   }
 
   test("median imputation fills with the exact train median (oracle-checked)") {
@@ -63,7 +67,7 @@ class MissingValuesSpec extends SparkSpec {
     Oracle.assertEquivalent(
       spark.range(1).select(lit(m).as("med")),
       "SELECT QUANTILE_CONT(CAST(age AS DOUBLE), 0.5) AS med FROM t WHERE age IS NOT NULL",
-      "t" -> train)
+      "t" -> trainFrame)
   }
 
   test("numeric mode picks the most frequent value, ties to smallest") {
@@ -71,31 +75,22 @@ class MissingValuesSpec extends SparkSpec {
   }
 
   test("categorical mode and dummy imputation") {
-    val mode = MissingValues.stringMode(Cleaner.columns(train, Seq("embarked")).values[String]("embarked"))
+    val mode = MissingValues.stringMode(Rows.values[String](train, "embarked"))
     assert(Seq("s", "c", "q").contains(mode))
     val (trMode, _) = MissingValues.imputer("mean", "mode").clean(ds.spec, train, testSet)
     val (trDummy, _) = MissingValues.imputer("mean", "dummy").clean(ds.spec, train, testSet)
-    val missingRids = train.filter(col("embarked").isNull).select("rid")
-    val filledMode = trMode.join(missingRids, "rid").select("embarked").distinct().collect()
-    assert(filledMode.forall(_.getString(0) == mode))
-    val filledDummy = trDummy.join(missingRids, "rid").select("embarked").distinct().collect()
-    assert(filledDummy.forall(_.getString(0) == MissingValues.DummyCategory))
+    val filledMode = filledIn(trMode, "embarked").distinct
+    assert(filledMode.nonEmpty && filledMode.forall(_ == mode))
+    val filledDummy = filledIn(trDummy, "embarked").distinct
+    assert(filledDummy == Seq(MissingValues.DummyCategory))
   }
 
   test("imputation statistics come from train only (no leakage)") {
     // Corrupt the test set's ages wildly; the fill value must not move.
-    val m1 = {
-      val (trC, _) = MissingValues.imputer("mean", "mode").clean(ds.spec, train, testSet)
-      trC.join(train.filter(col("age").isNull).select("rid"), "rid")
-        .select("age").head().getDouble(0)
-    }
-    val testWild = testSet.withColumn("age", when(col("age").isNotNull, lit(9999.0)))
-    val m2 = {
-      val (trC, _) = MissingValues.imputer("mean", "mode").clean(ds.spec, train, testWild)
-      trC.join(train.filter(col("age").isNull).select("rid"), "rid")
-        .select("age").head().getDouble(0)
-    }
-    assert(m1 == m2)
+    def fill(test: Seq[Row]) =
+      filledIn(MissingValues.imputer("mean", "mode").clean(ds.spec, train, test)._1, "age").head
+    val testWild = testSet.map(r => Rows.updated(r, Seq("age"))((_, v) => if (v == null) null else 9999.0))
+    assert(fill(testSet) == fill(testWild))
   }
 
   test("missingCellCount agrees with a DuckDB count") {
@@ -105,6 +100,6 @@ class MissingValuesSpec extends SparkSpec {
     Oracle.assertEquivalent(
       spark.range(1).select(lit(cnt).as("missing")),
       s"SELECT $sumSql AS missing FROM t",
-      "t" -> train)
+      "t" -> trainFrame)
   }
 }

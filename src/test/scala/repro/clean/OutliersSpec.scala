@@ -1,19 +1,30 @@
 package repro.clean
 
+import org.apache.spark.sql.Row
 import org.apache.spark.sql.functions._
 
 import repro.{Oracle, SparkSpec}
-import repro.core.ErrorType
-import repro.data.Datasets
+import repro.core.{ErrorType, Splits}
+import repro.data.{Datasets, Rows}
 
 class OutliersSpec extends SparkSpec {
 
   private val ds = Datasets.byName("EEG")
-  private lazy val dirty = ds.dirty(spark, ErrorType.Outliers).cache()
-  private lazy val (train, testSet) = repro.core.Splits.trainTest(dirty, 0)
+  private lazy val (train, testSet) = Splits.trainTest(ds.dirtyRows(ErrorType.Outliers), 0)
+  /** The training rows as a frame, for the DuckDB oracle. */
+  private lazy val trainFrame = Rows.frame(spark, ds.spec.schema, train)
 
   private def detector(detect: String, c: String) =
-    Outliers.fitDetector(detect, Cleaner.columns(train, Seq(c)).values[Double](c))
+    Outliers.fitDetector(detect, Rows.values[Double](train, c))
+
+  /** Column `c`'s cell of `r` is flagged by `isOutlier`; a null never is. */
+  private def flagged(isOutlier: Double => Boolean, c: String)(r: Row): Boolean =
+    !r.isNullAt(r.fieldIndex(c)) && isOutlier(r.getAs[Double](c))
+
+  private def anyFlagged(detect: String)(r: Row): Boolean =
+    ds.spec.outlierCols.exists(c => flagged(detector(detect, c), c)(r))
+
+  private def f1(rows: Seq[Row]): Seq[Double] = rows.map(_.getAs[Double]("f1"))
 
   test("registry has the 12 paper detector-repair combinations") {
     assert(Outliers.cleaners.size == 12)
@@ -23,7 +34,7 @@ class OutliersSpec extends SparkSpec {
   }
 
   test("SD detection count matches DuckDB mean±3sd (oracle-checked)") {
-    val cnt = train.filter(Outliers.flagged(detector("SD", "f1"), "f1")).count()
+    val cnt = train.count(flagged(detector("SD", "f1"), "f1"))
     Oracle.assertEquivalent(
       spark.range(1).select(lit(cnt).as("flagged")),
       """SELECT COUNT(*) AS flagged FROM t
@@ -31,11 +42,11 @@ class OutliersSpec extends SparkSpec {
         |  (SELECT AVG(CAST(f1 AS DOUBLE)) - 3*STDDEV_SAMP(CAST(f1 AS DOUBLE)) FROM t)
         |   OR CAST(f1 AS DOUBLE) >
         |  (SELECT AVG(CAST(f1 AS DOUBLE)) + 3*STDDEV_SAMP(CAST(f1 AS DOUBLE)) FROM t)""".stripMargin,
-      "t" -> train)
+      "t" -> trainFrame)
   }
 
   test("IQR detection count matches DuckDB quantile fences (oracle-checked)") {
-    val cnt = train.filter(Outliers.flagged(detector("IQR", "f2"), "f2")).count()
+    val cnt = train.count(flagged(detector("IQR", "f2"), "f2"))
     Oracle.assertEquivalent(
       spark.range(1).select(lit(cnt).as("flagged")),
       """WITH q AS (SELECT QUANTILE_CONT(CAST(f2 AS DOUBLE), 0.25) AS q1,
@@ -43,7 +54,7 @@ class OutliersSpec extends SparkSpec {
         |SELECT COUNT(*) AS flagged FROM t, q
         |WHERE CAST(f2 AS DOUBLE) < q.q1 - 1.5*(q.q3 - q.q1)
         |   OR CAST(f2 AS DOUBLE) > q.q3 + 1.5*(q.q3 - q.q1)""".stripMargin,
-      "t" -> train)
+      "t" -> trainFrame)
   }
 
   test("corruption cells are detected by every detector") {
@@ -58,8 +69,7 @@ class OutliersSpec extends SparkSpec {
   }
 
   test("SD is more conservative than IQR on lognormal data (Credit mechanism)") {
-    val credit = Datasets.byName("Credit").dirty(spark, ErrorType.Outliers)
-    val (ctr, _) = repro.core.Splits.trainTest(credit, 0)
+    val (ctr, _) = Splits.trainTest(Datasets.byName("Credit").dirtyRows(ErrorType.Outliers), 0)
     val cols = Datasets.byName("Credit").spec.outlierCols
     val sd  = Outliers.flaggedCellRate("SD", ctr, ctr, cols)
     val iqr = Outliers.flaggedCellRate("IQR", ctr, ctr, cols)
@@ -74,51 +84,47 @@ class OutliersSpec extends SparkSpec {
 
   test("delete repair removes exactly the rows with flagged cells") {
     val (trC, teC) = Outliers.cleaner("SD", "delete").clean(ds.spec, train, testSet)
-    val anyFlag = ds.spec.outlierCols.map(c => Outliers.flagged(detector("SD", c), c)).reduce(_ || _)
-    assert(trC.count() == train.filter(!anyFlag).count())
-    assert(teC.count() == testSet.filter(!anyFlag).count())
-    assert(trC.filter(anyFlag).count() == 0)
+    assert(trC == train.filterNot(anyFlagged("SD")))
+    assert(teC == testSet.filterNot(anyFlagged("SD")))
+    assert(trC.size < train.size)
   }
 
   test("impute repairs keep row counts and remove extreme cells") {
     for (rep <- Seq("impute_mean", "impute_median", "impute_mode")) {
       val (trC, teC) = Outliers.cleaner("SD", rep).clean(ds.spec, train, testSet)
-      assert(trC.count() == train.count(), rep)
-      assert(teC.count() == testSet.count(), rep)
-      val maxBefore = train.agg(max(abs(col("f1")))).head().getDouble(0)
-      val maxAfter  = trC.agg(max(abs(col("f1")))).head().getDouble(0)
+      assert(trC.size == train.size, rep)
+      assert(teC.size == testSet.size, rep)
+      val maxBefore = f1(train).map(math.abs).max
+      val maxAfter  = f1(trC).map(math.abs).max
       assert(maxAfter < maxBefore, s"$rep: $maxAfter vs $maxBefore")
     }
   }
 
   test("imputed value is the statistic of NON-flagged training cells") {
     val (trC, _) = Outliers.cleaner("SD", "impute_mean").clean(ds.spec, train, testSet)
-    val inlierMean = train.filter(!Outliers.flagged(detector("SD", "f1"), "f1"))
+    val inlierMean = trainFrame.filter(!CleanersReference.flagged(detector("SD", "f1"), "f1"))
       .agg(avg(col("f1"))).head().getDouble(0)
-    val changed = trC.alias("c").join(train.alias("d"), "rid")
-      .filter(col("c.f1") =!= col("d.f1"))
-      .select(col("c.f1")).distinct().collect()
+    val changed = f1(trC).zip(f1(train)).collect { case (c, d) if c != d => c }.distinct
     assert(changed.nonEmpty)
-    assert(changed.forall(r => math.abs(r.getDouble(0) - inlierMean) < 1e-9))
+    assert(changed.forall(c => math.abs(c - inlierMean) < 1e-9))
   }
 
   test("detection thresholds come from train only (no leakage)") {
     // Blow up the test set; after repair, no cell may violate the
     // TRAIN-derived SD bounds — i.e. the thresholds did not move with the
     // corrupted test data.
-    val wildTest = testSet.withColumn("f1", col("f1") * 1000)
+    val wildTest = testSet.map(r => Rows.updated(r, Seq("f1"))((_, v) => v.asInstanceOf[Double] * 1000))
     val (_, te2) = Outliers.cleaner("SD", "impute_mean").clean(ds.spec, train, wildTest)
-    assert(te2.filter(Outliers.flagged(detector("SD", "f1"), "f1")).count() == 0)
+    assert(!te2.exists(flagged(detector("SD", "f1"), "f1")))
   }
 
   test("cleaning corruption brings the dirty train closer to the clean truth") {
-    val cleanTruth = ds.clean(spark)
-    val (trueTrain, _) = repro.core.Splits.trainTest(cleanTruth, 0)
-    def rmse(df: org.apache.spark.sql.DataFrame): Double = {
-      val joined = df.alias("a").join(trueTrain.alias("b"), "rid")
-      val se = ds.spec.outlierCols.map(c =>
-        pow(col(s"a.$c") - col(s"b.$c"), 2.0)).reduce(_ + _)
-      math.sqrt(joined.agg(avg(se)).head().getDouble(0))
+    val truth = ds.clean(spark).collect().map(r => r.getAs[Long]("rid") -> r).toMap
+    def rmse(rows: Seq[Row]): Double = {
+      val se = rows.map(r => ds.spec.outlierCols.map { c =>
+        math.pow(r.getAs[Double](c) - truth(r.getAs[Long]("rid")).getAs[Double](c), 2.0)
+      }.sum)
+      math.sqrt(se.sum / se.size)
     }
     val before = rmse(train)
     val (trC, _) = Outliers.cleaner("IQR", "impute_median").clean(ds.spec, train, testSet)

@@ -65,6 +65,30 @@ class SplitsSpec extends SparkSpec {
     assert(s2.size > 3 * v2.size / 2)
   }
 
+  test("the local train/test bucket equals pmod(xxhash64(rid, seed), 100) for every dataset's rids, seeds 0-19") {
+    import spark.implicits._
+    val rids = Specs.cells(ErrorType.all.toSet).flatMap { case (ds, e, v) =>
+      ds.dirtyRows(e, v).map(_.getAs[Long]("rid"))
+    }.distinct
+    val cols = col("rid") +: (0 until 20).map(s => pmod(xxhash64(col("rid"), lit(s)), lit(100)).cast("int"))
+    val want = rids.toDF("rid").select(cols: _*).collect()
+    assert(want.length == rids.size)
+    want.foreach { r =>
+      val rid = r.getLong(0)
+      assert((0 until 20).map(Splits.trainBucket(rid, _)) == (1 to 20).map(r.getInt), s"rid $rid")
+    }
+  }
+
+  test("the row split keeps the DataFrame filter's rows in order") {
+    val rows = df.collect().toSeq
+    for (seed <- Seq(0, 7)) {
+      val bucket = pmod(xxhash64(col("rid"), lit(seed)), lit(100))
+      val (tr, te) = Splits.trainTest(rows, seed)
+      assert(tr == df.filter(bucket < 70).collect().toSeq)
+      assert(te == df.filter(bucket >= 70).collect().toSeq)
+    }
+  }
+
   test("the local bucket equals pmod(xxhash64(rid, salt, \"validation\"), 100)") {
     for (salt <- Seq(17, 148, 279, -5)) {
       val want = df.select(col("rid"),

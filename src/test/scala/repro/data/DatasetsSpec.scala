@@ -180,6 +180,14 @@ class DatasetsSpec extends SparkSpec {
     assert(eeg.relName(Outliers, "") == "EEG")
   }
 
+  test("dirtyRows are the rows of dirty's frame, in order, with the schema's types") {
+    for ((ds, e, v) <- repro.core.Specs.cells(ErrorType.all.toSet)) {
+      val rows = ds.dirtyRows(e, v)
+      assert(rows.forall(_.schema == ds.spec.schema))
+      assert(ds.dirty(spark, e, v).collect().toSeq == rows, s"${ds.spec.name}/${e.name}$v")
+    }
+  }
+
   test("dirty() rejects error types a dataset does not have") {
     intercept[IllegalArgumentException] {
       Datasets.byName("Sensor").dirty(spark, MissingValues)

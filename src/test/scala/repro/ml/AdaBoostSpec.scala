@@ -46,13 +46,15 @@ class AdaBoostSpec extends SparkSpec {
     // The first round's tree sees uniform weights 1/n and a single positive
     // vote takes its prediction as it is. MLlib's continuous split finding
     // sums the weights in floating point, so the reference tree is fit with
-    // the same uniform 1/n weight column rather than with none.
+    // the same uniform 1/n weight column rather than with none, on the rows
+    // as one partition, as every round's tree is.
     val train = MLTestData.xor(n = 200, seed = 14)
     val test  = MLTestData.xor(n = 100, seed = 15)
     val tree = new DecisionTreeClassifier()
       .setFeaturesCol(Features.FeaturesCol).setLabelCol("label").setWeightCol("w")
       .setMaxDepth(2).setSeed(1)
-      .fit(spark.createDataFrame(train).toDF(Features.FeaturesCol, "label").withColumn("w", lit(1.0 / 200)))
+      .fit(spark.createDataFrame(spark.sparkContext.parallelize(train, 1))
+        .toDF(Features.FeaturesCol, "label").withColumn("w", lit(1.0 / 200)))
     val viaTree = MLTestData.scored(tree.predict, test)
     assert(MLTestData.scored(AdaBoost.fit(train, 1, 2, seed = 1), test) == viaTree)
   }
@@ -61,5 +63,21 @@ class AdaBoostSpec extends SparkSpec {
     val train = MLTestData.blobs(n = 10, seed = 13)
     val preds = MLTestData.scored(AdaBoost.fit(train, 3, 2, seed = 1), train)
     assert(preds.size == 10)
+  }
+
+  test("every round's tree fits on one partition, whatever spark.sql.leafNodeDefaultParallelism is") {
+    val train = MLTestData.xor(n = 200, seed = 16)
+    val test  = MLTestData.xor(n = 100, seed = 17)
+    val key = "spark.sql.leafNodeDefaultParallelism"
+    val before = spark.conf.getOption(key)
+    try {
+      val runs = Seq("1", "8").map { n =>
+        spark.conf.set(key, n)
+        val frame = AdaBoost.weighted(train, Array.fill(train.size)(1.0 / train.size))
+        assert(frame.rdd.getNumPartitions == 1, s"at $n")
+        MLTestData.scored(AdaBoost.fit(train, 3, 2, seed = 1), test)
+      }
+      assert(runs.head == runs.last)
+    } finally before.fold(spark.conf.unset(key))(spark.conf.set(key, _))
   }
 }

@@ -4,10 +4,10 @@ import org.apache.spark.sql.{DataFrame, Row}
 import org.apache.spark.sql.functions._
 
 import repro.SparkSpec
-import repro.clean.{Cleaner, MissingValues}
+import repro.clean.MissingValues
 import repro.core.ErrorType.{MissingValues => Missing, Outliers}
 import repro.core.Splits
-import repro.data.{DataSpec, Datasets}
+import repro.data.{DataSpec, Datasets, Rows}
 
 /** Differential tests: `Descriptive` against Spark SQL, compared with `==`
   * on the doubles.
@@ -25,8 +25,8 @@ class DescriptiveSpec extends SparkSpec {
 
   private def eachNumericColumn(check: (String, DataFrame, String, Array[Double]) => Unit): Unit =
     for ((name, spec, train) <- trains) {
-      val numeric = Cleaner.columns(train, spec.numeric)
-      spec.numeric.foreach(c => check(name, train, c, numeric.values[Double](c)))
+      val rows = train.collect().toSeq
+      spec.numeric.foreach(c => check(name, train, c, Rows.values[Double](rows, c)))
     }
 
   private def sparkMode(train: DataFrame, c: String): Row =
@@ -54,9 +54,9 @@ class DescriptiveSpec extends SparkSpec {
       assert(Descriptive.mode(xs) == sparkMode(train, c).getDouble(0), s"$name.$c")
     }
     for ((name, spec, train) <- trains if spec.categorical.nonEmpty) {
-      val cats = Cleaner.columns(train, spec.categorical)
+      val rows = train.collect().toSeq
       spec.categorical.foreach { c =>
-        assert(MissingValues.stringMode(cats.values[String](c)) == sparkMode(train, c).getString(0), s"$name.$c")
+        assert(MissingValues.stringMode(Rows.values[String](rows, c)) == sparkMode(train, c).getString(0), s"$name.$c")
       }
     }
     val tied = Seq(3.0, 3.0, 1.0, 1.0, 2.0)
