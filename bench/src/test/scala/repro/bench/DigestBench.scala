@@ -28,9 +28,13 @@ import repro.jobs.Digest
   * (Credit, KDD, Airbnb, Sensor, Company), by at most 0.109 in a metric;
   * no R1, R2 or R3 flag changed.
   *
-  * The grids take 121 s (missing values), 129 s (outliers), 16 s
-  * (duplicates), 14 s (inconsistencies) and 34 s (mislabels) on a 4-vCPU
-  * VM at the default CLEANML_PARALLELISM (12).
+  * AdaBoost's base trees then moved from MLlib fits to the driver
+  * (`WeightedTree`) and `Features.Train.frame` marked its label 2-valued;
+  * every digest held.
+  *
+  * In two runs the grids took 52–97 s (missing values), 75–96 s
+  * (outliers), 9–13 s (duplicates), 9–11 s (inconsistencies) and 21–24 s
+  * (mislabels) on a 4-vCPU VM at the default CLEANML_PARALLELISM (12).
   */
 class DigestBench extends SparkSpec {
 

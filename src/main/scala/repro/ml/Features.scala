@@ -2,13 +2,13 @@ package repro.ml
 
 import scala.collection.mutable.ArrayBuffer
 
-import org.apache.spark.ml.attribute.{Attribute, AttributeGroup, BinaryAttribute, NumericAttribute}
+import org.apache.spark.ml.attribute.{Attribute, AttributeGroup, BinaryAttribute, NominalAttribute, NumericAttribute}
 import org.apache.spark.ml.feature.HashingTF
 import org.apache.spark.ml.linalg.{Vector, Vectors}
 import org.apache.spark.mllib.linalg.{Vectors => OldVectors}
 import org.apache.spark.mllib.stat.MultivariateOnlineSummarizer
 import org.apache.spark.sql.{DataFrame, Row, SparkSession}
-import org.apache.spark.sql.types.{DoubleType, StructField, StructType}
+import org.apache.spark.sql.types.{StructField, StructType}
 import org.apache.spark.util.random.XORShiftRandomAccess
 
 import repro.data.{DataSpec, Rows}
@@ -47,13 +47,18 @@ object Features {
   final case class Train(rows: Seq[(Vector, Double)], attributes: AttributeGroup) {
 
     /** The frame (`features`, `label`) that the MLlib estimators fit on:
-      * the rows as one partition, in order, with `attributes` on `features`.
+      * the rows as one partition, in order, with `attributes` on `features`
+      * and `label` marked 2-valued, so the tree estimators need no job to
+      * count its classes (an arm is fit only when it has both).
       */
     def frame: DataFrame =
       Rows.frame(SparkSession.active,
-        StructType(Seq(attributes.toStructField(), StructField("label", DoubleType, nullable = false))),
+        StructType(Seq(attributes.toStructField(), LabelField)),
         rows.map { case (v, l) => Row(v, l) })
   }
+
+  private val LabelField: StructField =
+    NominalAttribute.defaultAttr.withName("label").withNumValues(2).toStructField()
 
   private val tf = new HashingTF().setNumFeatures(64)
 

@@ -6,8 +6,9 @@ import org.apache.spark.ml.classification.{DecisionTreeClassifier, GBTClassifier
 import org.apache.spark.ml.linalg.Vector
 
 /** The seven classifiers of the benchmark (paper §3.3) behind one adapter
-  * API. Five are MLlib estimators (GBT standing in for XGBoost, see
-  * DESIGN.md §1); KNN, AdaBoost, and Gaussian NB are built from scratch.
+  * API. Four are MLlib estimators (GBT standing in for XGBoost, see
+  * DESIGN.md §1); KNN, AdaBoost, and Gaussian NB are built from scratch
+  * and fit on the driver.
   */
 trait ModelAdapter {
   def name: String
@@ -79,7 +80,7 @@ object Models {
     val defaults = Map("rounds" -> 3.0, "baseDepth" -> 2.0)
     val grid = Map("rounds" -> Seq(3.0, 5.0))
     def fit(train: Features.Train, params: Map[String, Double], seed: Long): Vector => Double =
-      AdaBoost.fit(train.rows, params("rounds").toInt, params("baseDepth").toInt, seed)
+      AdaBoost.fit(train.rows, params("rounds").toInt, params("baseDepth").toInt)
   }
 
   /** XGBoost stand-in: MLlib gradient-boosted trees (DESIGN.md §1). */

@@ -1,10 +1,5 @@
 package repro.core
 
-import java.util.concurrent.{Executors, TimeUnit}
-
-import scala.concurrent.{Await, ExecutionContext, Future}
-import scala.concurrent.duration.Duration
-
 import org.apache.spark.ml.attribute.AttributeGroup
 import org.apache.spark.sql.{DataFrame, Row}
 
@@ -77,17 +72,6 @@ class ArmEquivalenceSpec extends SparkSpec {
     cleaned.foreach { case (m, (trC, teC)) =>
       assertSameArm(spec, trC, teC, s"${spec.name}/${error.name}$variant ${m.detect}/${m.repair}")
     }
-  }
-
-  /** Run `checks` on four threads, and rethrow the first failure after all
-    * have ended: each check is a few hundred small Spark jobs, which the
-    * driver schedules one by one.
-    */
-  private def onFourThreads(checks: Seq[() => Unit]): Unit = {
-    val pool = Executors.newFixedThreadPool(4)
-    implicit val ec: ExecutionContext = ExecutionContext.fromExecutor(pool)
-    try Await.result(Future.traverse(checks)(c => Future(c())), Duration.Inf)
-    finally { pool.shutdown(); pool.awaitTermination(Long.MaxValue, TimeUnit.NANOSECONDS) }
   }
 
   ErrorType.all.foreach { error =>

@@ -2,9 +2,6 @@ package repro.core
 
 import scala.collection.mutable.ArrayBuffer
 
-import org.apache.spark.ListenerBusAccess
-import org.apache.spark.scheduler.{SparkListener, SparkListenerJobStart}
-
 import repro.SparkSpec
 import repro.clean.CleaningMethods
 import repro.core.ErrorType._
@@ -160,29 +157,18 @@ class ExperimentSpec extends SparkSpec {
     assert(rows.nonEmpty) // exercises the multi-config path end-to-end
   }
 
-  /** The number of Spark jobs `body` starts. */
-  private def jobsOf(body: => Unit): Int = {
-    val sc = spark.sparkContext
-    val started = new java.util.concurrent.atomic.AtomicInteger()
-    val listener = new SparkListener {
-      override def onJobStart(e: SparkListenerJobStart): Unit = started.incrementAndGet()
-    }
-    ListenerBusAccess.drain(sc)
-    sc.addSparkListener(listener)
-    try { body; ListenerBusAccess.drain(sc) }
-    finally sc.removeSparkListener(listener)
-    started.get()
-  }
-
   /** One dataset (and mislabel variant) per error type. */
   private val cells = Seq((MissingValues, "Titanic", ""), (Outliers, "Credit", ""),
     (Duplicates, "Movie", ""), (Inconsistencies, "University", ""), (Mislabels, "EEG", "uniform"))
 
-  for ((error, name, variant) <- cells)
-    test(s"a naive_bayes + knn ${error.name} cell starts no Spark job") {
+  /** The models that fit on the driver, named as the tests name them. */
+  private val driverModels = Seq("a naive_bayes + knn" -> Seq("naive_bayes", "knn"), "an adaboost" -> Seq("adaboost"))
+
+  for ((error, name, variant) <- cells; (what, models) <- driverModels)
+    test(s"$what ${error.name} cell starts no Spark job") {
       val ds = Datasets.byName(name)
       val full = ds.dirtyRows(error, variant)
-      val cfg = fastCfg.copy(models = Seq("naive_bayes", "knn"))
+      val cfg = fastCfg.copy(models = models)
       var rows = Seq.empty[Measurement]
       assert(jobsOf { rows = Experiment.runCell(ds, error, variant, full, 0, cfg) } == 0)
       assert(rows.nonEmpty)

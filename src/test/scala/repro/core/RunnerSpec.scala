@@ -141,11 +141,13 @@ class RunnerSpec extends SparkSpec {
 
   test("a failing cell: measurements rethrows only after every cell has ended") {
     val sc = spark.sparkContext
-    // Decision trees fit on Spark: the other datasets' cells start jobs.
+    // Decision trees fit on Spark: University's cells take the pool first
+    // and start jobs; Company's are still queued when NullFeature's fail.
     val failing = cfg.copy(splits = 6, parallelism = 2, models = Seq("decision_tree"))
     val jobsInCall = jobsStartedBy {
       val e = intercept[IllegalArgumentException] {
-        Runner.measurements(spark, failing, Set(Inconsistencies), NullFeature +: smallData)
+        Runner.measurements(spark, failing, Set(Inconsistencies),
+          Seq(smallData.head, NullFeature, smallData.last))
       }
       assert(e.getMessage.contains("NullFeature: x is null or NaN"))
       ListenerBusAccess.drain(sc)

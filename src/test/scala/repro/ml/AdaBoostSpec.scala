@@ -11,34 +11,34 @@ class AdaBoostSpec extends SparkSpec {
     val train = MLTestData.xor(n = 240, seed = 5)
     val test  = MLTestData.xor(n = 120, seed = 6)
     val acc = Evaluate.accuracy(
-      MLTestData.scored(AdaBoost.fit(train, rounds = 4, baseDepth = 2, seed = 1), test))
+      MLTestData.scored(AdaBoost.fit(train, rounds = 4, baseDepth = 2), test))
     assert(acc > 0.9, s"acc=$acc")
   }
 
   test("separable blobs are classified nearly perfectly") {
     val train = MLTestData.blobs(n = 150, seed = 7)
     val test  = MLTestData.blobs(n = 60, seed = 8)
-    val acc = Evaluate.accuracy(MLTestData.scored(AdaBoost.fit(train, 3, 2, seed = 1), test))
+    val acc = Evaluate.accuracy(MLTestData.scored(AdaBoost.fit(train, 3, 2), test))
     assert(acc > 0.95, s"acc=$acc")
   }
 
   test("prediction column is binary") {
     val train = MLTestData.blobs(n = 80, seed = 9)
-    val preds = MLTestData.scored(AdaBoost.fit(train, 3, 2, seed = 1), train).map(_._2).toSet
+    val preds = MLTestData.scored(AdaBoost.fit(train, 3, 2), train).map(_._2).toSet
     assert(preds.subsetOf(Set(0.0, 1.0)))
   }
 
-  test("deterministic in the seed") {
+  test("deterministic") {
     val train = MLTestData.xor(n = 160, seed = 10)
     val test  = MLTestData.xor(n = 60, seed = 11)
-    val a1 = Evaluate.accuracy(MLTestData.scored(AdaBoost.fit(train, 3, 2, seed = 42), test))
-    val a2 = Evaluate.accuracy(MLTestData.scored(AdaBoost.fit(train, 3, 2, seed = 42), test))
+    val a1 = Evaluate.accuracy(MLTestData.scored(AdaBoost.fit(train, 3, 2), test))
+    val a2 = Evaluate.accuracy(MLTestData.scored(AdaBoost.fit(train, 3, 2), test))
     assert(a1 == a2)
   }
 
   test("single-round boosting equals its base tree's behaviour on blobs") {
     val train = MLTestData.blobs(n = 100, seed = 12)
-    val acc = Evaluate.accuracy(MLTestData.scored(AdaBoost.fit(train, 1, 2, seed = 1), train))
+    val acc = Evaluate.accuracy(MLTestData.scored(AdaBoost.fit(train, 1, 2), train))
     assert(acc > 0.9, s"acc=$acc")
   }
 
@@ -56,28 +56,20 @@ class AdaBoostSpec extends SparkSpec {
       .fit(spark.createDataFrame(spark.sparkContext.parallelize(train, 1))
         .toDF(Features.FeaturesCol, "label").withColumn("w", lit(1.0 / 200)))
     val viaTree = MLTestData.scored(tree.predict, test)
-    assert(MLTestData.scored(AdaBoost.fit(train, 1, 2, seed = 1), test) == viaTree)
+    assert(MLTestData.scored(AdaBoost.fit(train, 1, 2), test) == viaTree)
   }
 
   test("does not crash on a tiny training set") {
     val train = MLTestData.blobs(n = 10, seed = 13)
-    val preds = MLTestData.scored(AdaBoost.fit(train, 3, 2, seed = 1), train)
+    val preds = MLTestData.scored(AdaBoost.fit(train, 3, 2), train)
     assert(preds.size == 10)
   }
 
-  test("every round's tree fits on one partition, whatever spark.sql.leafNodeDefaultParallelism is") {
+  test("AdaBoost.fit starts no Spark job") {
     val train = MLTestData.xor(n = 200, seed = 16)
     val test  = MLTestData.xor(n = 100, seed = 17)
-    val key = "spark.sql.leafNodeDefaultParallelism"
-    val before = spark.conf.getOption(key)
-    try {
-      val runs = Seq("1", "8").map { n =>
-        spark.conf.set(key, n)
-        val frame = AdaBoost.weighted(train, Array.fill(train.size)(1.0 / train.size))
-        assert(frame.rdd.getNumPartitions == 1, s"at $n")
-        MLTestData.scored(AdaBoost.fit(train, 3, 2, seed = 1), test)
-      }
-      assert(runs.head == runs.last)
-    } finally before.fold(spark.conf.unset(key))(spark.conf.set(key, _))
+    var preds = Seq.empty[(Double, Double)]
+    assert(jobsOf { preds = MLTestData.scored(AdaBoost.fit(train, 3, 2), test) } == 0)
+    assert(preds.size == 100)
   }
 }
