@@ -10,16 +10,16 @@ import repro.core.{Flag, Walkthrough}
 class Tables06to14WalkthroughBench extends SparkSpec {
 
   test("Tables 6-9: one-split walkthrough (spec, model table, method table)") {
-    Walkthrough.tables6to9(spark)
+    Walkthrough.tables6to9()
   }
 
   test("Tables 10-11: five random-search seeds with searchK=2") {
-    Walkthrough.tables10to11(spark)
+    Walkthrough.tables10to11()
   }
 
   test("Tables 12-14: 20 splits, t-tests, BY correction — flag is P") {
     val splits = sys.env.get("CLEANML_WALKTHROUGH_SPLITS").map(_.toInt).getOrElse(20)
-    val (pairs, t) = Walkthrough.tables12to14(spark, splits)
+    val (pairs, t) = Walkthrough.tables12to14(splits)
     assert(pairs.size == splits)
     // Paper Table 12: cleaning improves accuracy on (nearly) every split...
     val improved = pairs.count { case (b, d) => d > b }

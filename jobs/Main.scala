@@ -26,9 +26,9 @@ object Main {
     val arg = args.lift(1)
     def errors = arg.filter(_ != "all").fold(ErrorType.all)(e => Seq(ErrorType.of(e)))
     val table: SparkSession => Unit = args.headOption match {
-      case Some("tables06to09") => Walkthrough.tables6to9
-      case Some("tables10to11") => Walkthrough.tables10to11
-      case Some("tables12to14") => Walkthrough.tables12to14(_, arg.fold(20)(_.toInt))
+      case Some("tables06to09") => _ => Walkthrough.tables6to9()
+      case Some("tables10to11") => _ => Walkthrough.tables10to11()
+      case Some("tables12to14") => _ => Walkthrough.tables12to14(arg.fold(20)(_.toInt))
       case Some("table15") => spark =>
         val cfg = RunConfig.fromEnv
         println(s"[Table15] config: $cfg")

@@ -1,14 +1,12 @@
 package repro.core
 
-import org.apache.spark.sql.{DataFrame, Row, SparkSession}
-import org.apache.spark.sql.expressions.Window
-import org.apache.spark.sql.functions._
+import org.apache.spark.sql.{DataFrame, Encoders, Row, SparkSession}
 import org.apache.spark.sql.types._
 
 import repro.stats.{FDR, TTest}
 
-/** Builds the CleanML relations R1/R2/R3 (paper §2.1) from the raw
-  * measurement grid.
+/** Builds the CleanML relations R1/R2/R3 (paper §2.1) from the measurement
+  * rows, on the driver.
   *
   *   - R1: per specification, metrics averaged over search seeds (§4.2.1)
   *   - R2: model selection — per side, the (model, seed) with the best
@@ -18,7 +16,9 @@ import repro.stats.{FDR, TTest}
   *
   * Flags come from paired two-/upper-/lower-tailed t-tests over the
   * per-split metric pairs, with Benjamini–Yekutieli correction applied
-  * jointly to all 3·|R| p-values of a relation (§4.2.2–4.3).
+  * to all 3·|R| p-values of a relation together (§4.2.2–4.3). The pairs
+  * equal, bit for bit, those of a Spark SQL `avg` and ranking windows over
+  * a one-partition frame in seed order (`RelationsReference` in the tests).
   */
 object Relations {
 
@@ -26,76 +26,91 @@ object Relations {
   val R2Keys: Seq[String] = Seq("dataset", "error_type", "detect", "repair", "scenario")
   val R3Keys: Seq[String] = Seq("dataset", "error_type", "scenario")
 
-  /** R1 metric pairs: one (b, d) pair per spec and split (seed average). */
-  def r1Pairs(meas: DataFrame): DataFrame =
-    meas.groupBy((R1Keys :+ "split").map(col): _*)
-      .agg(avg(col("test_b")).as("b"), avg(col("test_d")).as("d"))
+  /** One metric pair of a relation: its spec (the values of the relation's
+    * keys, in key order), the split and the (b, d) pair. `bestVal` is the
+    * clean side's winning validation score of an R2 or R3 pair; NaN in R1.
+    */
+  final case class Pair(spec: Seq[String], split: Int, b: Double, d: Double,
+                        bestVal: Double = Double.NaN)
+
+  /** Spark SQL's `ORDER BY score DESC, t1, t2`, whose first row R2 and R3
+    * select: NaN above every number, -0.0 equal to 0.0, and the names (all
+    * ASCII) in `String` order.
+    */
+  private def ranking[T: Ordering]: Ordering[(Double, String, T)] = {
+    val score: Ordering[Double] = (x, y) => if (x == y) 0 else java.lang.Double.compare(x, y)
+    Ordering.Tuple3(score.reverse, Ordering.String, Ordering[T])
+  }
+
+  /** R1 metric pairs: one (b, d) pair per spec and split, each side's test
+    * metric averaged over the seeds as Spark's `avg` does: summed from 0.0
+    * in seed order, then divided by n.
+    */
+  def r1Pairs(meas: Seq[Measurement]): Seq[Pair] =
+    meas.groupBy(m => (Seq(m.dataset, m.error_type, m.detect, m.repair, m.model, m.scenario), m.split))
+      .toSeq.map { case ((spec, split), ms) =>
+        def avg(f: Measurement => Double) = ms.sortBy(_.seed).foldLeft(0.0)((s, m) => s + f(m)) / ms.size
+        Pair(spec, split, avg(_.test_b), avg(_.test_d))
+      }
 
   /** R2 metric pairs: per spec-without-model and split, each side takes the
-    * test metric of the (model, seed) with the best validation score
-    * (ties break by model then seed for determinism). `best_val` carries
-    * the clean-side winning validation score for R3's method selection.
+    * test metric of the (model, seed) with the best validation score (ties
+    * break by model then seed for determinism). `bestVal` carries the
+    * clean-side winning validation score for R3's method selection.
     */
-  def r2Pairs(meas: DataFrame): DataFrame = {
-    val keys = (R2Keys :+ "split").map(col)
-    val wb = Window.partitionBy(keys: _*)
-      .orderBy(col("val_b").desc, col("model").asc, col("seed").asc)
-    val wd = Window.partitionBy(keys: _*)
-      .orderBy(col("val_d").desc, col("model").asc, col("seed").asc)
-    val bSide = meas.withColumn("__rn", row_number().over(wb))
-      .filter(col("__rn") === 1)
-      .select(keys :+ col("test_b").as("b"): _*)
-    val dSide = meas.withColumn("__rn", row_number().over(wd))
-      .filter(col("__rn") === 1)
-      .select(keys ++ Seq(col("test_d").as("d"), col("val_d").as("best_val")): _*)
-    bSide.join(dSide, R2Keys :+ "split")
-  }
+  def r2Pairs(meas: Seq[Measurement]): Seq[Pair] =
+    meas.groupBy(m => (Seq(m.dataset, m.error_type, m.detect, m.repair, m.scenario), m.split))
+      .toSeq.map { case ((spec, split), ms) =>
+        val b = ms.minBy(m => (m.val_b, m.model, m.seed))(ranking[Int])
+        val d = ms.minBy(m => (m.val_d, m.model, m.seed))(ranking[Int])
+        Pair(spec, split, b.test_b, d.test_d, d.val_d)
+      }
 
-  /** R3 metric pairs: per (dataset, error, scenario, split), the method
-    * with the best clean-side validation score provides the pair.
+  /** R3 metric pairs from R2's: per (dataset, error, scenario, split), the
+    * method with the best clean-side validation score provides the pair
+    * (ties break by detect then repair).
     */
-  def r3Pairs(r2: DataFrame): DataFrame = {
-    val keys = (R3Keys :+ "split").map(col)
-    val w = Window.partitionBy(keys: _*)
-      .orderBy(col("best_val").desc, col("detect").asc, col("repair").asc)
-    r2.withColumn("__rn", row_number().over(w))
-      .filter(col("__rn") === 1)
-      .select(keys ++ Seq(col("b"), col("d")): _*)
-  }
-
-  /** Group pairs by spec keys on the driver, run the three paired t-tests
-    * per spec, apply BY over all p-values of the relation, and emit the
-    * flag per paper rule (`Flag.of`). Each spec's pairs enter its t-test in
-    * split order; the specs are in key order.
-    */
-  def flags(pairs: DataFrame, keys: Seq[String], alpha: Double): DataFrame = {
-    val spark = pairs.sparkSession
-    val grouped = pairs.select((keys ++ Seq("split", "b", "d")).map(col): _*).collect().toSeq
-      .groupBy(r => keys.indices.map(r.getString)).toSeq
-      .sortBy(_._1)(Ordering.Implicits.seqOrdering[IndexedSeq, String])
-
-    val stats = grouped.map { case (keyVals, rs) =>
-      val ps = rs.sortBy(_.getInt(keys.size)).map(p => (p.getDouble(keys.size + 1), p.getDouble(keys.size + 2)))
-      (keyVals, TTest.paired(ps))
+  def r3Pairs(r2: Seq[Pair]): Seq[Pair] =
+    r2.groupBy(p => (Seq(p.spec(0), p.spec(1), p.spec(4)), p.split)).toSeq.map { case ((spec, _), ps) =>
+      ps.minBy(p => (p.bestVal, p.spec(2), p.spec(3)))(ranking[String]).copy(spec = spec)
     }
+
+  /** Group pairs by spec, run the three paired t-tests per spec, apply BY
+    * over all p-values of the relation, and emit the flag per paper rule
+    * (`Flag.of`): one row per spec, in spec order. Each spec's pairs enter
+    * its t-test in split order.
+    */
+  def flags(pairs: Seq[Pair], alpha: Double): Seq[Row] = {
+    val stats = pairs.groupBy(_.spec).toSeq
+      .sortBy(_._1)(Ordering.Implicits.seqOrdering[Seq, String])
+      .map { case (spec, ps) => (spec, TTest.paired(ps.sortBy(_.split).map(p => (p.b, p.d)))) }
     val rawP = stats.flatMap { case (_, t) => Seq(t.p0, t.p1, t.p2) }
     val adjP = FDR.benjaminiYekutieli(rawP)
 
-    val rows = stats.zipWithIndex.map { case ((keyVals, t), i) =>
+    stats.zipWithIndex.map { case ((spec, t), i) =>
       val (a0, a1, a2) = (adjP(3 * i), adjP(3 * i + 1), adjP(3 * i + 2))
-      Row.fromSeq(keyVals ++ Seq(t.meanDiff, t.p0, t.p1, t.p2, a0, a1, a2,
+      Row.fromSeq(spec ++ Seq(t.meanDiff, t.p0, t.p1, t.p2, a0, a1, a2,
         Flag.of(a0, a1, a2, alpha), t.n))
     }
-    val schema = StructType(
-      keys.map(StructField(_, StringType, nullable = false)) ++
-        Seq("mean_diff", "p0", "p1", "p2", "p0_adj", "p1_adj", "p2_adj")
-          .map(StructField(_, DoubleType, nullable = false)) ++
-        Seq(StructField("flag", StringType, nullable = false),
-            StructField("n_splits", IntegerType, nullable = false)))
-    spark.createDataFrame(spark.sparkContext.parallelize(rows.toIndexedSeq, 2), schema)
   }
 
-  def r1(meas: DataFrame, alpha: Double = 0.05): DataFrame = flags(r1Pairs(meas), R1Keys, alpha)
-  def r2(meas: DataFrame, alpha: Double = 0.05): DataFrame = flags(r2Pairs(meas), R2Keys, alpha)
-  def r3(meas: DataFrame, alpha: Double = 0.05): DataFrame = flags(r3Pairs(r2Pairs(meas)), R3Keys, alpha)
+  /** The flagged relation of `pairs` over `keys`: a frame of local rows, so
+    * building it starts no Spark job.
+    */
+  def relation(spark: SparkSession, keys: Seq[String], pairs: Seq[Pair], alpha: Double): DataFrame = {
+    val columns = keys.map(_ -> StringType) ++
+      Seq("mean_diff", "p0", "p1", "p2", "p0_adj", "p1_adj", "p2_adj").map(_ -> DoubleType) ++
+      Seq("flag" -> StringType, "n_splits" -> IntegerType)
+    val schema = StructType(columns.map { case (c, t) => StructField(c, t, nullable = false) })
+    spark.createDataFrame(spark.sparkContext.parallelize(flags(pairs, alpha), 2), schema)
+  }
+
+  // Frame adapters: collect the measurement frame and take the row path.
+  private def rows(meas: DataFrame) = meas.as(Encoders.product[Measurement]).collect().toSeq
+  def r1(meas: DataFrame, alpha: Double = 0.05): DataFrame =
+    relation(meas.sparkSession, R1Keys, r1Pairs(rows(meas)), alpha)
+  def r2(meas: DataFrame, alpha: Double = 0.05): DataFrame =
+    relation(meas.sparkSession, R2Keys, r2Pairs(rows(meas)), alpha)
+  def r3(meas: DataFrame, alpha: Double = 0.05): DataFrame =
+    relation(meas.sparkSession, R3Keys, r3Pairs(r2Pairs(rows(meas))), alpha)
 }

@@ -9,9 +9,9 @@ import repro.data.{BenchDataset, Datasets}
 /** Orchestrates the benchmark: runs the measurement grid (driver-parallel
   * over (dataset, error, variant, split) cells, each cell the dataset's
   * driver rows plus the Spark jobs of its MLlib fits), derives the
-  * R1/R2/R3 relations, and prints the Table-15 analysis blocks. The cells,
-  * the three relations and the three relations' queries each run
-  * concurrently, through `concurrently`.
+  * R1/R2/R3 relations from the measurement rows on the calling thread, and
+  * prints the Table-15 analysis blocks. The cells and the three relations'
+  * queries each run concurrently, through `concurrently`.
   */
 object Runner {
 
@@ -41,27 +41,32 @@ object Runner {
     }
   }
 
-  /** Run the measurement grid for the given error types/datasets. */
-  def measurements(spark: SparkSession, cfg: RunConfig,
-                   errors: Set[ErrorType],
-                   datasets: Seq[BenchDataset] = Datasets.all): DataFrame = {
-    val rows = concurrently(cfg.parallelism)(
+  /** The measurement rows of the grid for the given error types/datasets. */
+  private def measurementRows(cfg: RunConfig, errors: Set[ErrorType],
+                              datasets: Seq[BenchDataset]): Seq[Measurement] =
+    concurrently(cfg.parallelism)(
       for ((ds, e, v) <- Specs.cells(errors, datasets); full = ds.dirtyRows(e, v);
            split <- 0 until cfg.splits)
         yield () => Experiment.runCell(ds, e, v, full, split, cfg)).flatten
-    import spark.implicits._
-    rows.toDF()
-  }
 
-  /** Full pipeline: measurements -> flagged relations. */
+  /** Run the measurement grid for the given error types/datasets. */
+  def measurements(spark: SparkSession, cfg: RunConfig, errors: Set[ErrorType],
+                   datasets: Seq[BenchDataset] = Datasets.all): DataFrame =
+    spark.createDataFrame(measurementRows(cfg, errors, datasets))
+
+  /** Full pipeline: measurements -> flagged relations. The relations come
+    * from the measurement rows, and R3 from R2's pairs; every frame is made
+    * of local rows, so the only Spark jobs are the cells' MLlib fits.
+    */
   def run(spark: SparkSession, cfg: RunConfig, errors: Set[ErrorType],
           datasets: Seq[BenchDataset] = Datasets.all): BenchmarkRelations = {
-    val meas = measurements(spark, cfg, errors, datasets)
-    val Seq(r1, r2, r3) = concurrently(3)(Seq(
-      () => Relations.r1(meas, cfg.alpha),
-      () => Relations.r2(meas, cfg.alpha),
-      () => Relations.r3(meas, cfg.alpha)))
-    BenchmarkRelations(meas, r1, r2, r3)
+    import Relations._
+    val rows = measurementRows(cfg, errors, datasets)
+    val r2 = r2Pairs(rows)
+    BenchmarkRelations(spark.createDataFrame(rows),
+      relation(spark, R1Keys, r1Pairs(rows), cfg.alpha),
+      relation(spark, R2Keys, r2, cfg.alpha),
+      relation(spark, R3Keys, r3Pairs(r2), cfg.alpha))
   }
 
   /** Print the Table 15 blocks (Q1..Q5) for one error type, with the

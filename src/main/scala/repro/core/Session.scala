@@ -6,7 +6,7 @@ import org.apache.spark.sql.SparkSession
 object Session {
 
   /** `SPARK_MASTER` or `local[*]`, 2 shuffle partitions for the small
-    * relation and query frames, broadcast joins off, and no UI.
+    * query frames, broadcast joins off, and no UI.
     */
   def build(appName: String): SparkSession =
     SparkSession.builder()

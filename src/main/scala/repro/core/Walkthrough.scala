@@ -1,8 +1,5 @@
 package repro.core
 
-import org.apache.spark.sql.{DataFrame, SparkSession}
-import org.apache.spark.sql.functions._
-
 import repro.data.Datasets
 import repro.stats.{FDR, TTest}
 
@@ -20,13 +17,24 @@ object Walkthrough {
 
   private def fmt(d: Double): String = f"$d%.6f"
 
-  /** Tables 6–9: one split, all models and methods, seeds = 1. */
-  def tables6to9(spark: SparkSession): Unit = {
-    val cfg  = RunConfig(splits = 1, seeds = 1)
+  /** A measurement's validation and test metrics, dirty then clean. */
+  private def metrics(m: Measurement): String =
+    s"${fmt(m.val_b)}    ${fmt(m.test_b)}    ${fmt(m.val_d)}    ${fmt(m.test_d)}"
+
+  private def pair(p: Relations.Pair): String = s"(${fmt(p.b)}, ${fmt(p.d)})"
+
+  private def isS1Method(m: Measurement): Boolean = m.detect == S1Detect && m.repair == S1Repair
+
+  /** The BD measurement rows of the EEG-outliers cell at every split of `cfg`. */
+  private def bdRows(cfg: RunConfig): Seq[Measurement] = {
     val full = eeg.dirtyRows(ErrorType.Outliers)
-    val rows = Experiment.runCell(eeg, ErrorType.Outliers, "", full, 0, cfg)
-    import spark.implicits._
-    val meas = rows.toDF().filter($"scenario" === "BD").cache()
+    (0 until cfg.splits).flatMap(s => Experiment.runCell(eeg, ErrorType.Outliers, "", full, s, cfg))
+      .filter(_.scenario == "BD")
+  }
+
+  /** Tables 6–9: one split, all models and methods, seeds = 1. */
+  def tables6to9(): Unit = {
+    val meas = bdRows(RunConfig(splits = 1, seeds = 1))
 
     println("\n===== Table 6: experiment specifications =====")
     println(s"  s1: (EEG, outliers, $S1Detect, $S1Repair, $S1Model, BD)")
@@ -34,83 +42,53 @@ object Walkthrough {
     println(s"  s3: (EEG, outliers, BD)")
 
     println("\n===== Table 7: s1 metric pair (paper: (0.634179, 0.668892)) =====")
-    val s1 = meas.filter($"detect" === S1Detect && $"repair" === S1Repair &&
-      $"model" === S1Model).head()
+    val s1 = meas.find(m => isS1Method(m) && m.model == S1Model).get
     println(f"  ${"Model"}%-22s val(dirty)  test(dirty) val(clean)  test(clean)")
-    println(f"  ${S1Model}%-22s ${fmt(s1.getAs[Double]("val_b"))}    " +
-      f"${fmt(s1.getAs[Double]("test_b"))}    ${fmt(s1.getAs[Double]("val_d"))}    " +
-      f"${fmt(s1.getAs[Double]("test_d"))}")
-    println(s"  Metric pair: (${fmt(s1.getAs[Double]("test_b"))}, ${fmt(s1.getAs[Double]("test_d"))})")
+    println(f"  ${S1Model}%-22s ${metrics(s1)}")
+    println(s"  Metric pair: (${fmt(s1.test_b)}, ${fmt(s1.test_d)})")
 
     println("\n===== Table 8: s2 all-model table (paper pair: (0.862706, 0.956386)) =====")
-    val t8 = meas.filter($"detect" === S1Detect && $"repair" === S1Repair)
-      .orderBy("model").collect()
+    val t8 = meas.filter(isS1Method)
     println(f"  ${"Model"}%-22s val(dirty)  test(dirty) val(clean)  test(clean)")
-    t8.foreach { r =>
-      println(f"  ${r.getAs[String]("model")}%-22s ${fmt(r.getAs[Double]("val_b"))}    " +
-        f"${fmt(r.getAs[Double]("test_b"))}    ${fmt(r.getAs[Double]("val_d"))}    " +
-        f"${fmt(r.getAs[Double]("test_d"))}")
-    }
-    val s2 = Relations.r2Pairs(meas.filter($"detect" === S1Detect && $"repair" === S1Repair)).head()
-    println(s"  Metric pair: (${fmt(s2.getAs[Double]("b"))}, ${fmt(s2.getAs[Double]("d"))})")
+    t8.sortBy(_.model).foreach(m => println(f"  ${m.model}%-22s ${metrics(m)}"))
+    println(s"  Metric pair: ${pair(Relations.r2Pairs(t8).head)}")
 
     println("\n===== Table 9: s3 all-method table (paper pair: (0.937612, 0.969928)) =====")
-    val r2 = Relations.r2Pairs(meas).cache()
+    val r2 = Relations.r2Pairs(meas)
     println(f"  ${"Detect"}%-6s ${"Repair"}%-14s bestVal(clean)  test(bestDirty)  test(bestClean)")
-    r2.orderBy("detect", "repair").collect().foreach { r =>
-      println(f"  ${r.getAs[String]("detect")}%-6s ${r.getAs[String]("repair")}%-14s " +
-        f"${fmt(r.getAs[Double]("best_val"))}        ${fmt(r.getAs[Double]("b"))}         " +
-        f"${fmt(r.getAs[Double]("d"))}")
+    r2.sortBy(p => (p.spec(2), p.spec(3))).foreach { p =>
+      println(f"  ${p.spec(2)}%-6s ${p.spec(3)}%-14s " +
+        f"${fmt(p.bestVal)}        ${fmt(p.b)}         ${fmt(p.d)}")
     }
-    val s3 = Relations.r3Pairs(r2).head()
-    println(s"  Metric pair: (${fmt(s3.getAs[Double]("b"))}, ${fmt(s3.getAs[Double]("d"))})")
-    meas.unpersist(); r2.unpersist()
+    println(s"  Metric pair: ${pair(Relations.r3Pairs(r2).head)}")
   }
 
   /** Tables 10–11: five random-search seeds at searchK = 2. */
-  def tables10to11(spark: SparkSession): Unit = {
+  def tables10to11(): Unit = {
     val cfg = RunConfig(splits = 1, seeds = 5, searchK = 2,
       methodFilter = Some(Set((S1Detect, S1Repair))))
-    val full = eeg.dirtyRows(ErrorType.Outliers)
-    val rows = Experiment.runCell(eeg, ErrorType.Outliers, "", full, 0, cfg)
-    import spark.implicits._
-    val meas = rows.toDF().filter($"scenario" === "BD").cache()
+    val meas = bdRows(cfg)
 
     println("\n===== Table 10: 5 random-search seeds for s1 (averaged pair) =====")
-    val lr = meas.filter($"model" === S1Model).orderBy("seed").collect()
+    val lr = meas.filter(_.model == S1Model)
     println(f"  ${"seed"}%-5s val(dirty)  test(dirty) val(clean)  test(clean)")
-    lr.foreach { r =>
-      println(f"  ${r.getAs[Int]("seed")}%-5d ${fmt(r.getAs[Double]("val_b"))}    " +
-        f"${fmt(r.getAs[Double]("test_b"))}    ${fmt(r.getAs[Double]("val_d"))}    " +
-        f"${fmt(r.getAs[Double]("test_d"))}")
-    }
-    val s1agg = Relations.r1Pairs(meas.filter($"model" === S1Model)).head()
-    println(s"  Aggregated (mean) pair: (${fmt(s1agg.getAs[Double]("b"))}, ${fmt(s1agg.getAs[Double]("d"))})")
+    lr.sortBy(_.seed).foreach(m => println(f"  ${m.seed}%-5d ${metrics(m)}"))
+    println(s"  Aggregated (mean) pair: ${pair(Relations.r1Pairs(lr).head)}")
 
     println("\n===== Table 11: 5 seeds for s2 (best-validation pair) =====")
     (0 until cfg.seeds).foreach { s =>
-      val perSeed = Relations.r2Pairs(meas.filter($"seed" === s)).head()
-      println(f"  seed $s%-2d best pair: (${fmt(perSeed.getAs[Double]("b"))}, ${fmt(perSeed.getAs[Double]("d"))})")
+      println(f"  seed $s%-2d best pair: ${pair(Relations.r2Pairs(meas.filter(_.seed == s)).head)}")
     }
-    val s2agg = Relations.r2Pairs(meas).head()
-    println(s"  Selected pair: (${fmt(s2agg.getAs[Double]("b"))}, ${fmt(s2agg.getAs[Double]("d"))})")
-    meas.unpersist()
+    println(s"  Selected pair: ${pair(Relations.r2Pairs(meas).head)}")
   }
 
   /** Tables 12–14: 20 splits for s1, t-tests and BY-corrected flag.
     * Returns (pairs, p-values, adjusted p-values, flag) for assertions.
     */
-  def tables12to14(spark: SparkSession,
-                   splits: Int = 20): (Seq[(Double, Double)], TTestResultView) = {
+  def tables12to14(splits: Int = 20): (Seq[(Double, Double)], TTestResultView) = {
     val cfg = RunConfig(splits = splits, seeds = 1,
       models = Seq(S1Model), methodFilter = Some(Set((S1Detect, S1Repair))))
-    val full = eeg.dirtyRows(ErrorType.Outliers)
-    val rows = (0 until splits).flatMap(s =>
-      Experiment.runCell(eeg, ErrorType.Outliers, "", full, s, cfg))
-    import spark.implicits._
-    val pairs = Relations.r1Pairs(rows.toDF().filter($"scenario" === "BD"))
-      .orderBy("split")
-      .collect().map(r => (r.getAs[Double]("b"), r.getAs[Double]("d"))).toSeq
+    val pairs = Relations.r1Pairs(bdRows(cfg)).sortBy(_.split).map(p => (p.b, p.d))
 
     println(s"\n===== Table 12: $splits-split metric pairs for s1 (paper: B~0.63, D~0.67) =====")
     println(f"  ${"split"}%-6s B           D")

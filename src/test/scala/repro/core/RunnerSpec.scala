@@ -178,23 +178,26 @@ class RunnerSpec extends SparkSpec {
         sc.setLocalProperty(CallerKey, tag)
         try body finally sc.setLocalProperty(CallerKey, null)
       }
+    // The relations start no job, so run's only jobs are its MLlib fits:
+    // decision trees fit on Spark, naive Bayes on the driver.
     var rel: Runner.BenchmarkRelations = null
     val runJobs = tagged("run") {
-      rel = Runner.run(spark, small, Set(Inconsistencies), smallData.take(1))
+      rel = Runner.run(spark, small.copy(models = Seq("decision_tree")), Set(Inconsistencies),
+        smallData.take(1))
     }
     val printJobs = tagged("print")(printed(Runner.printTable15(rel, Inconsistencies)))
     assert(runJobs.nonEmpty && runJobs.forall(_.contains("run")))
     assert(printJobs.nonEmpty && printJobs.forall(_.contains("print")))
   }
 
-  test("run's R1, R2 and R3 equal the relations built one after another, at parallelism 1 and 4") {
+  test("run and the frame adapters agree, at parallelism 1 and 4") {
     val rows = for (p <- Seq(1, 4)) yield {
       val c = small.copy(parallelism = p)
       val rel = Runner.run(spark, c, Set(Inconsistencies), smallData)
       val meas = rel.measurements
-      val serial = Seq(Relations.r1(meas, c.alpha), Relations.r2(meas, c.alpha),
+      val adapters = Seq(Relations.r1(meas, c.alpha), Relations.r2(meas, c.alpha),
         Relations.r3(meas, c.alpha))
-      Seq(rel.r1, rel.r2, rel.r3).zip(serial).foreach { case (got, want) =>
+      Seq(rel.r1, rel.r2, rel.r3).zip(adapters).foreach { case (got, want) =>
         assert(sortedRows(got) == sortedRows(want))
       }
       (sortedRows(meas), sortedRows(rel.r1), sortedRows(rel.r2), sortedRows(rel.r3))
